@@ -45,8 +45,8 @@ print("processed mu' shape:", mu_p.shape)
 for v in range(4):
     print(f"  Q(S, {v}) = {decode_q(params, mu_p, v):+.4f}")
 
-# q_values fuses the three stages; only frontier vertices are legal
-# actions, here just vertex 1.
+# q_values runs the same three stages, decoding every vertex at once;
+# only frontier vertices are legal actions, here just vertex 1.
 q = q_values(params, inp)
 print("\nfrontier:", sorted(state.frontier), "-> greedy action",
       max(state.frontier, key=lambda v: q[v]))

@@ -10,13 +10,7 @@ from .bench import (
     run_bench,
     solve_with_method,
 )
-from .features import (
-    TerminalFeatures,
-    feature_scale,
-    knn_features,
-    normalize_features,
-    terminal_distance_matrix,
-)
+from .features import feature_scale, knn_features, terminal_distance_matrix
 from .generators import GeneratorConfig, generate, parse_generator_spec
 from .graph import (
     StpInstance,
@@ -68,8 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchReport", "BenchRow", "metric_b", "metric_gain", "metric_r",
     "run_bench", "solve_with_method",
-    "TerminalFeatures", "feature_scale", "knn_features",
-    "normalize_features", "terminal_distance_matrix",
+    "feature_scale", "knn_features", "terminal_distance_matrix",
     "GeneratorConfig", "generate", "parse_generator_spec",
     "StpInstance", "WeightedGraph", "all_pairs_shortest_paths",
     "shortest_paths",

@@ -9,27 +9,9 @@ constant so the network sees the same feature semantics across instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import StpInstance, shortest_paths
-
-
-@dataclass(frozen=True)
-class TerminalFeatures:
-    """K-nearest-active-terminal distance rows, one per vertex.
-
-    ``rows`` has shape (|V|, K).  ``active_mask`` records which terminals
-    (in ascending terminal order) contributed candidates.
-    """
-
-    rows: np.ndarray
-    k: int
-    active_mask: np.ndarray
-
-    def row_sum(self, v: int) -> float:
-        return float(self.rows[v].sum())
 
 
 def terminal_distance_matrix(instance: StpInstance) -> np.ndarray:
@@ -62,8 +44,8 @@ def feature_scale(table: np.ndarray) -> float:
     return top if top > 0 else 1.0
 
 
-def knn_features(table: np.ndarray, active_mask, k: int) -> TerminalFeatures:
-    """Select each vertex's k smallest distances over the active terminals.
+def knn_features(table: np.ndarray, active_mask, k: int) -> np.ndarray:
+    """Each vertex's k smallest distances over the active terminals, (|V|, k).
 
     Rows come out ascending and are zero-filled on the right when fewer
     than k active terminals exist (including the empty active set, which
@@ -84,15 +66,5 @@ def knn_features(table: np.ndarray, active_mask, k: int) -> TerminalFeatures:
         m = sub.shape[1]
         filled = np.where(np.isfinite(sub), sub, 0.0)
         rows[:, :m] = filled
-    return TerminalFeatures(rows=rows, k=k, active_mask=active.copy())
+    return rows
 
-
-def normalize_features(features: TerminalFeatures, scale: float) -> TerminalFeatures:
-    """Divide every entry by ``scale`` (> 0); zero-fill entries stay zero."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return TerminalFeatures(
-        rows=features.rows / scale,
-        k=features.k,
-        active_mask=features.active_mask.copy(),
-    )

@@ -91,63 +91,79 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
+def _state_bits(s_bits, t_bits) -> np.ndarray:
+    """(n, 2) encoder input columns [in-tree, is-terminal]."""
+    st = np.empty((len(s_bits), 2))
+    st[:, 0] = s_bits
+    st[:, 1] = t_bits
+    return st
+
+
 def encode(params: QNetParams, x, s_bits, t_bits) -> np.ndarray:
     """Vertex embeddings from state bits and distance features."""
-    st = np.stack([np.asarray(s_bits, dtype=float), np.asarray(t_bits, dtype=float)], axis=1)
-    return _relu(st @ params.theta1.T + np.asarray(x, dtype=float) @ params.theta2.T)
+    return _relu(_state_bits(s_bits, t_bits) @ params.theta1.T
+                 + np.asarray(x, dtype=float) @ params.theta2.T)
+
+
+def _process_layers(params: QNetParams, mu, adjacency, degrees):
+    """Processor activations (z, h, mu_p); backward needs all three."""
+    agg = degrees[:, None] * mu - adjacency @ mu
+    z = _relu(np.concatenate([mu, agg], axis=1))
+    h = _relu(z @ params.w1.T + params.b1)
+    return z, h, _relu(h @ params.w2.T + params.b2)
 
 
 def process(params: QNetParams, mu, adjacency, degrees) -> np.ndarray:
     """One aggregation round: rectified [mu, neighborhood difference] through the MLP."""
-    agg = degrees[:, None] * mu - adjacency @ mu
-    z = _relu(np.concatenate([mu, agg], axis=1))
-    h = _relu(z @ params.w1.T + params.b1)
-    return _relu(h @ params.w2.T + params.b2)
+    return _process_layers(params, mu, adjacency, degrees)[2]
+
+
+def _decode(params: QNetParams, pooled, mu_c):
+    """Decoder pre-activation, activation and value for candidate rows.
+
+    ``mu_c`` is one processed embedding (P,) or a stack of them (m, P).
+    Arrays here are tiny, so filling ``qpre`` in place beats the call
+    overhead of broadcast_to/concatenate; the values are the same.
+    """
+    g4 = params.theta4 @ pooled
+    v5 = mu_c @ params.theta5.T
+    p = g4.shape[0]
+    qpre = np.empty(v5.shape[:-1] + (2 * p,))
+    qpre[..., :p] = g4
+    qpre[..., p:] = v5
+    qr = _relu(qpre)
+    return qpre, qr, qr @ params.theta3
 
 
 def decode_q(params: QNetParams, mu_p, v: int) -> float:
     """Scalar action value for adding vertex v, given processed embeddings."""
-    g4 = params.theta4 @ mu_p.sum(axis=0)
-    v5 = params.theta5 @ mu_p[v]
-    return float(params.theta3 @ _relu(np.concatenate([g4, v5])))
+    return float(_decode(params, mu_p.sum(axis=0), mu_p[v])[2])
 
 
 @dataclass
 class ForwardCache:
-    st: np.ndarray
-    pre0: np.ndarray
+    """Post-activation arrays of one forward pass.
+
+    relu(a) > 0 exactly where a > 0, so backward masks on these directly.
+    """
+
     mu: np.ndarray
-    zpre: np.ndarray
     z: np.ndarray
-    pre1: np.ndarray
     h: np.ndarray
-    pre2: np.ndarray
     mu_p: np.ndarray
     pooled: np.ndarray
 
 
 def forward(params: QNetParams, inp: NetInput) -> ForwardCache:
-    st = np.stack([inp.s_bits.astype(float), inp.t_bits.astype(float)], axis=1)
-    pre0 = st @ params.theta1.T + inp.x @ params.theta2.T
-    mu = _relu(pre0)
-    agg = inp.degrees[:, None] * mu - inp.adjacency @ mu
-    zpre = np.concatenate([mu, agg], axis=1)
-    z = _relu(zpre)
-    pre1 = z @ params.w1.T + params.b1
-    h = _relu(pre1)
-    pre2 = h @ params.w2.T + params.b2
-    mu_p = _relu(pre2)
-    return ForwardCache(st=st, pre0=pre0, mu=mu, zpre=zpre, z=z, pre1=pre1,
-                        h=h, pre2=pre2, mu_p=mu_p, pooled=mu_p.sum(axis=0))
+    mu = encode(params, inp.x, inp.s_bits, inp.t_bits)
+    z, h, mu_p = _process_layers(params, mu, inp.adjacency, inp.degrees)
+    return ForwardCache(mu=mu, z=z, h=h, mu_p=mu_p, pooled=mu_p.sum(axis=0))
 
 
 def q_values(params: QNetParams, inp: NetInput) -> np.ndarray:
     """Action values for every vertex at once (callers mask to the frontier)."""
     cache = forward(params, inp)
-    g4 = params.theta4 @ cache.pooled
-    v5 = cache.mu_p @ params.theta5.T
-    qpre = np.concatenate([np.broadcast_to(g4, v5.shape), v5], axis=1)
-    return _relu(qpre) @ params.theta3
+    return _decode(params, cache.pooled, cache.mu_p)[2]
 
 
 def grad(params: QNetParams, inp: NetInput, v: int, target: float):
@@ -163,11 +179,8 @@ def grad(params: QNetParams, inp: NetInput, v: int, target: float):
     if not np.all(np.isfinite(c.mu_p)):
         raise FloatingPointError("non-finite values after the processor")
     p = params.p_dim
-    g4 = params.theta4 @ c.pooled
-    v5 = params.theta5 @ c.mu_p[v]
-    qpre = np.concatenate([g4, v5])
-    qr = _relu(qpre)
-    q = float(params.theta3 @ qr)
+    qpre, qr, q = _decode(params, c.pooled, c.mu_p[v])
+    q = float(q)
     if not np.isfinite(q) or not np.isfinite(target):
         raise FloatingPointError("non-finite value in the decoder output")
     diff = q - target
@@ -178,25 +191,26 @@ def grad(params: QNetParams, inp: NetInput, v: int, target: float):
     g["theta3"] = dq * qr
     dqpre = dq * params.theta3 * (qpre > 0)
     d_g4, d_v5 = dqpre[:p], dqpre[p:]
-    g["theta4"] = np.outer(d_g4, c.pooled)
-    g["theta5"] = np.outer(d_v5, c.mu_p[v])
+    g["theta4"] = d_g4[:, None] * c.pooled
+    g["theta5"] = d_v5[:, None] * c.mu_p[v]
 
-    dmu_p = np.tile(params.theta4.T @ d_g4, (c.mu_p.shape[0], 1))
+    dmu_p = np.empty_like(c.mu_p)
+    dmu_p[:] = params.theta4.T @ d_g4
     dmu_p[v] += params.theta5.T @ d_v5
 
-    dpre2 = dmu_p * (c.pre2 > 0)
+    dpre2 = dmu_p * (c.mu_p > 0)
     g["w2"] = dpre2.T @ c.h
     g["b2"] = dpre2.sum(axis=0)
     dh = dpre2 @ params.w2
-    dpre1 = dh * (c.pre1 > 0)
+    dpre1 = dh * (c.h > 0)
     g["w1"] = dpre1.T @ c.z
     g["b1"] = dpre1.sum(axis=0)
     dz = dpre1 @ params.w1
-    dzpre = dz * (c.zpre > 0)
+    dzpre = dz * (c.z > 0)
     dz_mu, dz_agg = dzpre[:, :p], dzpre[:, p:]
     dmu = dz_mu + inp.degrees[:, None] * dz_agg - inp.adjacency @ dz_agg
-    dpre0 = dmu * (c.pre0 > 0)
-    g["theta1"] = dpre0.T @ c.st
+    dpre0 = dmu * (c.mu > 0)
+    g["theta1"] = dpre0.T @ _state_bits(inp.s_bits, inp.t_bits)
     g["theta2"] = dpre0.T @ inp.x
     return loss, g
 
@@ -231,16 +245,37 @@ def save_checkpoint(params: QNetParams, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _param_shapes(p: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor for embedding width p and feature width k."""
+    return {"theta1": (p, 2), "theta2": (p, k), "w1": (p, 2 * p), "b1": (p,),
+            "w2": (p, p), "b2": (p,), "theta3": (2 * p,), "theta4": (p, p),
+            "theta5": (p, p)}
+
+
 def load_checkpoint(path) -> tuple[QNetParams, dict]:
+    """Read a checkpoint; every tensor must be present, finite and shaped
+    as the ``p_dim``/``k`` header says, else ValueError names the tensor."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    raw = payload["params"]
-    arrays = {name: np.asarray(raw[name], dtype=float) for name in PARAM_SHAPES}
-    params = QNetParams(**arrays)
-    if params.p_dim != payload["p_dim"] or params.k != payload["k"]:
-        raise ValueError("checkpoint header disagrees with stored tensor shapes")
-    return params, payload.get("meta", {})
+    p, k = payload.get("p_dim"), payload.get("k")
+    if not (isinstance(p, int) and isinstance(k, int) and p >= 1 and k >= 1):
+        raise ValueError(f"checkpoint header needs positive integers p_dim and k, "
+                         f"got {p!r} and {k!r}")
+    raw = payload.get("params", {})
+    shapes = _param_shapes(p, k)
+    arrays = {}
+    for name in PARAM_SHAPES:
+        if name not in raw:
+            raise ValueError(f"checkpoint is missing tensor {name}")
+        arr = np.asarray(raw[name], dtype=float)
+        if arr.shape != shapes[name]:
+            raise ValueError(f"checkpoint header (p_dim={p}, k={k}) disagrees with "
+                             f"tensor {name}: shape {arr.shape}, expected {shapes[name]}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint tensor {name} holds non-finite values")
+        arrays[name] = arr
+    return QNetParams(**arrays), payload.get("meta", {})

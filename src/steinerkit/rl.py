@@ -5,7 +5,8 @@ vertex per step, until every terminal is covered.  Rewards are the
 negative attachment cost minus the vertex's remaining nearest-terminal
 distance mass, plus a bonus for reaching a terminal.  Training is double
 deep Q-learning: actions picked by the live network, valued by a frozen
-target copy, from uniformly sampled replay.
+target copy, from uniformly sampled replay.  Training, greedy rollouts and
+active search all play their episodes through ``play_episode``.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .features import (
-    TerminalFeatures,
-    feature_scale,
-    knn_features,
-    terminal_distance_matrix,
-)
+from .features import feature_scale, knn_features, terminal_distance_matrix
 from .graph import StpInstance
 from .qnet import (
     NetInput,
@@ -81,7 +77,6 @@ class EpisodeState:
     chosen_edges: list[tuple[int, int, float]]
     cost: float
     active_mask: np.ndarray
-    features: TerminalFeatures
     x: np.ndarray  # normalized feature rows, replaced (never mutated) on updates
     done: bool
 
@@ -164,12 +159,11 @@ def reset(instance: StpInstance, rng: np.random.Generator | None = None,
     in_tree[v1] = True
     active = np.ones(len(terms), dtype=bool)
     active[st.t_index[v1]] = False
-    feats = knn_features(st.table, active, k)
     frontier = {u for u, _ in instance.graph.neighbors(v1)}
     return EpisodeState(
         instance=instance, static=st, order=[v1], in_tree=in_tree,
         frontier=frontier, chosen_edges=[], cost=0.0, active_mask=active,
-        features=feats, x=feats.rows / st.scale, done=not active.any(),
+        x=knn_features(st.table, active, k) / st.scale, done=not active.any(),
     )
 
 
@@ -187,7 +181,8 @@ def step(state: EpisodeState, v: int) -> tuple[EpisodeState, float]:
     for u, w in g.neighbors(v):
         if state.in_tree[u] and w < w_min:
             w_min, attach = w, u
-    assert attach >= 0, "frontier vertex with no tree neighbor"
+    if attach < 0:
+        raise RuntimeError(f"frontier vertex {v} has no tree neighbor")
 
     reward = -w_min - float(state.x[v].sum())
     is_terminal = bool(state.static.t_bits[v])
@@ -206,9 +201,8 @@ def step(state: EpisodeState, v: int) -> tuple[EpisodeState, float]:
 
     if is_terminal:
         state.active_mask[state.static.t_index[v]] = False
-        state.features = knn_features(state.static.table, state.active_mask,
-                                      state.features.k)
-        state.x = state.features.rows / state.static.scale
+        state.x = (knn_features(state.static.table, state.active_mask,
+                                state.x.shape[1]) / state.static.scale)
         state.done = not state.active_mask.any()
     return state, reward
 
@@ -350,6 +344,62 @@ def sync_target(env_params: QNetParams) -> QNetParams:
 
 
 @dataclass
+class Learner:
+    """What an episode learns into: replay, the frozen target, step count."""
+
+    buffer: ReplayBuffer
+    target: QNetParams
+    config: DdqnConfig
+    steps: int = 0
+
+    @classmethod
+    def fresh(cls, params: QNetParams, config: DdqnConfig, buffer_seed) -> "Learner":
+        """Empty replay sampled under ``buffer_seed``; the target copies params."""
+        rng = np.random.default_rng(np.random.PCG64(buffer_seed))
+        return cls(ReplayBuffer(config.replay_cap, rng), sync_target(params), config)
+
+    def observe(self, params: QNetParams, transition: Transition) -> float | None:
+        """Record a transition; once replay is warm, take one SGD step on
+        ``params`` (returning its loss) and re-sync the target on schedule."""
+        self.buffer.push(transition)
+        cfg = self.config
+        if len(self.buffer) < max(cfg.warmup_batches * cfg.batch, cfg.batch):
+            return None
+        loss = train_step(self.buffer, params, self.target, cfg)
+        self.steps += 1
+        if self.steps % cfg.target_sync == 0:
+            self.target = sync_target(params)
+        return loss
+
+
+def play_episode(instance: StpInstance, params: QNetParams, epsilon: float,
+                 rng: np.random.Generator | None = None, start: int | None = None,
+                 learner: Learner | None = None) -> tuple[EpisodeState, list[float]]:
+    """Play one epsilon-greedy episode from ``start`` (else a terminal drawn
+    by rng, else the lowest).  With a learner, every transition is learned
+    from as it happens; returns the finished state and the step losses."""
+    state = reset(instance, rng=rng, start=start, k=params.k)
+    losses = []
+    while not state.done:
+        q_map = frontier_q_values(params, state)
+        before = state.snapshot() if learner is not None else None
+        action = select_action(state, q_map, epsilon, rng)
+        _, reward = step(state, action)
+        if learner is not None:
+            loss = learner.observe(params, Transition(
+                instance=instance, before=before, action=action,
+                reward=reward, after=state.snapshot()))
+            if loss is not None:
+                losses.append(loss)
+    return state, losses
+
+
+def _episode_tree(state: EpisodeState) -> SteinerTree:
+    return prune(verify_tree(state.instance, state.chosen_edges),
+                 state.instance.terminals)
+
+
+@dataclass
 class CurveRow:
     round: int
     episode_cost: float
@@ -373,23 +423,6 @@ def write_curve_csv(rows, path) -> None:
             ])
 
 
-def run_episode(instance: StpInstance, params: QNetParams, epsilon: float,
-                rng: np.random.Generator,
-                buffer: ReplayBuffer | None = None) -> EpisodeState:
-    """Play one full episode, optionally recording transitions."""
-    state = reset(instance, rng=rng, k=params.k)
-    while not state.done:
-        q_map = frontier_q_values(params, state)
-        before = state.snapshot()
-        action = select_action(state, q_map, epsilon, rng)
-        _, reward = step(state, action)
-        if buffer is not None:
-            buffer.push(Transition(instance=instance, before=before,
-                                   action=action, reward=reward,
-                                   after=state.snapshot()))
-    return state
-
-
 def train(instance_stream, config: DdqnConfig,
           validation_instances=None,
           train_hook=None) -> tuple[QNetParams, list[CurveRow]]:
@@ -402,10 +435,8 @@ def train(instance_stream, config: DdqnConfig,
     ss = np.random.SeedSequence(config.seed)
     init_ss, episode_ss, buffer_ss = ss.spawn(3)
     env_params = init_params(config.p_dim, config.k, init_ss)
-    target_params = sync_target(env_params)
     episode_rng = np.random.default_rng(np.random.PCG64(episode_ss))
-    buffer = ReplayBuffer(config.replay_cap,
-                          np.random.default_rng(np.random.PCG64(buffer_ss)))
+    learner = Learner.fresh(env_params, config, buffer_ss)
 
     val_classic = None
     if validation_instances is not None:
@@ -417,8 +448,6 @@ def train(instance_stream, config: DdqnConfig,
     best_params = env_params.copy()
     best_gain = math.inf
     last_gain = math.nan
-    train_steps = 0
-    warmup = config.warmup_batches * config.batch
 
     for round_idx in range(config.rounds):
         try:
@@ -426,21 +455,8 @@ def train(instance_stream, config: DdqnConfig,
         except StopIteration:
             raise ValueError(f"instance stream exhausted at round {round_idx}")
         eps = epsilon_at(config, round_idx)
-        state = reset(instance, rng=episode_rng, k=config.k)
-        losses = []
-        while not state.done:
-            q_map = frontier_q_values(env_params, state)
-            before = state.snapshot()
-            action = select_action(state, q_map, eps, episode_rng)
-            _, reward = step(state, action)
-            buffer.push(Transition(instance=instance, before=before,
-                                   action=action, reward=reward,
-                                   after=state.snapshot()))
-            if len(buffer) >= max(warmup, config.batch):
-                losses.append(train_step(buffer, env_params, target_params, config))
-                train_steps += 1
-                if train_steps % config.target_sync == 0:
-                    target_params = sync_target(env_params)
+        state, losses = play_episode(instance, env_params, eps, episode_rng,
+                                     learner=learner)
 
         if validation_instances and (round_idx + 1) % config.validation_every == 0:
             costs = [greedy_rollout(inst, env_params).cost
@@ -467,19 +483,11 @@ def train(instance_stream, config: DdqnConfig,
 
 
 def greedy_rollout(instance: StpInstance, params: QNetParams) -> SteinerTree:
-    """Deterministic policy from every terminal start; cheapest pruned tree wins."""
-    best: SteinerTree | None = None
-    for start in instance.terminal_list:
-        state = reset(instance, start=start, k=params.k)
-        while not state.done:
-            q_map = frontier_q_values(params, state)
-            action = select_action(state, q_map, 0.0)
-            step(state, action)
-        tree = prune(verify_tree(instance, state.chosen_edges), instance.terminals)
-        if best is None or tree.cost < best.cost:
-            best = tree
-    assert best is not None
-    return best
+    """Deterministic policy from every terminal start; cheapest pruned tree
+    wins, the earliest start on ties."""
+    trees = [_episode_tree(play_episode(instance, params, 0.0, start=start)[0])
+             for start in instance.terminal_list]
+    return min(trees, key=lambda tree: tree.cost)
 
 
 def active_search(instance: StpInstance, params: QNetParams, budget_rounds: int,
@@ -496,36 +504,18 @@ def active_search(instance: StpInstance, params: QNetParams, budget_rounds: int,
     if config is None:
         config = DdqnConfig(p_dim=params.p_dim, k=params.k, seed=seed)
     local = params.copy()
-    target = sync_target(local)
     ss = np.random.SeedSequence(seed)
     episode_ss, buffer_ss = ss.spawn(2)
     episode_rng = np.random.default_rng(np.random.PCG64(episode_ss))
-    buffer = ReplayBuffer(config.replay_cap,
-                          np.random.default_rng(np.random.PCG64(buffer_ss)))
+    learner = Learner.fresh(local, config, buffer_ss)
 
     best = greedy_rollout(instance, local)
-    warmup = config.warmup_batches * config.batch
-    train_steps = 0
     schedule = replace(config, rounds=max(budget_rounds, 1))
 
     for round_idx in range(budget_rounds):
         eps = epsilon_at(schedule, round_idx)
-        state = reset(instance, rng=episode_rng, k=params.k)
-        while not state.done:
-            q_map = frontier_q_values(local, state)
-            before = state.snapshot()
-            action = select_action(state, q_map, eps, episode_rng)
-            _, reward = step(state, action)
-            buffer.push(Transition(instance=instance, before=before,
-                                   action=action, reward=reward,
-                                   after=state.snapshot()))
-            if len(buffer) >= max(warmup, config.batch):
-                train_step(buffer, local, target, config)
-                train_steps += 1
-                if train_steps % config.target_sync == 0:
-                    target = sync_target(local)
-        candidate = prune(verify_tree(instance, state.chosen_edges),
-                          instance.terminals)
+        state, _ = play_episode(instance, local, eps, episode_rng, learner=learner)
+        candidate = _episode_tree(state)
         if candidate.cost < best.cost:
             best = candidate
         if (round_idx + 1) % rollout_every == 0:

@@ -9,6 +9,7 @@ deterministic and reproducible.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,9 @@ def prune(tree: SteinerTree, terminals) -> SteinerTree:
     for u, v, w in tree.edges:
         adj.setdefault(u, {})[v] = w
         adj.setdefault(v, {})[u] = w
-    queue = sorted(v for v in adj if len(adj[v]) == 1 and v not in terminals)
+    queue = deque(sorted(v for v in adj if len(adj[v]) == 1 and v not in terminals))
     while queue:
-        leaf = queue.pop(0)
+        leaf = queue.popleft()
         if leaf not in adj or len(adj[leaf]) != 1:
             continue
         (nbr, _), = adj[leaf].items()
@@ -268,5 +269,7 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
 
     tree = verify_tree(instance, edges)
     tree = prune(tree, instance.terminals)
-    assert abs(tree.cost - float(dp[full][root])) < 1e-9, "reconstruction cost mismatch"
+    if not abs(tree.cost - float(dp[full][root])) < 1e-9:
+        raise RuntimeError(f"reconstruction cost mismatch: tree {tree.cost}, "
+                           f"table {float(dp[full][root])}")
     return tree

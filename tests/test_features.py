@@ -6,7 +6,6 @@ import pytest
 from steinerkit.features import (
     feature_scale,
     knn_features,
-    normalize_features,
     terminal_distance_matrix,
 )
 from steinerkit.graph import StpInstance, WeightedGraph
@@ -48,33 +47,33 @@ def test_feature_scale_ignores_inf_and_falls_back():
 def test_knn_rows_sorted_ascending(inst):
     table = terminal_distance_matrix(inst)
     feats = knn_features(table, [True, True], k=2)
-    assert np.array_equal(feats.rows, [[0, 4], [1, 3], [1, 3], [0, 4]])
+    assert np.array_equal(feats, [[0, 4], [1, 3], [1, 3], [0, 4]])
 
 
 def test_knn_respects_active_mask(inst):
     table = terminal_distance_matrix(inst)
     feats = knn_features(table, [False, True], k=2)
     # only terminal 3 contributes; second slot zero-filled
-    assert np.array_equal(feats.rows, [[4, 0], [3, 0], [1, 0], [0, 0]])
+    assert np.array_equal(feats, [[4, 0], [3, 0], [1, 0], [0, 0]])
 
 
 def test_knn_empty_active_set_gives_zero_rows(inst):
     table = terminal_distance_matrix(inst)
     feats = knn_features(table, [False, False], k=2)
-    assert not feats.rows.any()
+    assert not feats.any()
 
 
 def test_knn_drops_nonfinite_candidates():
     table = np.array([[math.inf, 2.0], [1.0, math.inf], [math.inf, math.inf]])
     feats = knn_features(table, [True, True], k=2)
-    assert np.array_equal(feats.rows, [[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(feats, [[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 def test_knn_k_larger_than_terminal_count(inst):
     table = terminal_distance_matrix(inst)
     feats = knn_features(table, [True, True], k=5)
-    assert feats.rows.shape == (4, 5)
-    assert np.array_equal(feats.rows[1], [1, 3, 0, 0, 0])
+    assert feats.shape == (4, 5)
+    assert np.array_equal(feats[1], [1, 3, 0, 0, 0])
 
 
 def test_knn_validates_arguments(inst):
@@ -84,17 +83,3 @@ def test_knn_validates_arguments(inst):
     with pytest.raises(ValueError, match="active_mask length"):
         knn_features(table, [True], k=1)
 
-
-def test_row_sum(inst):
-    table = terminal_distance_matrix(inst)
-    feats = knn_features(table, [True, True], k=2)
-    assert feats.row_sum(1) == 4.0
-
-
-def test_normalize_features(inst):
-    table = terminal_distance_matrix(inst)
-    feats = knn_features(table, [True, True], k=2)
-    norm = normalize_features(feats, 4.0)
-    assert np.array_equal(norm.rows, np.asarray(feats.rows) / 4.0)
-    with pytest.raises(ValueError):
-        normalize_features(feats, 0.0)

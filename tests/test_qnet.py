@@ -14,6 +14,7 @@ from steinerkit.qnet import (
     QNetParams,
     decode_q,
     encode,
+    forward,
     grad,
     init_params,
     load_checkpoint,
@@ -154,6 +155,19 @@ class TestAgainstScalarOracle:
             q = q_values(params, make_input(rng))
             assert np.isfinite(q).all()
 
+    def test_forward_runs_the_stage_functions(self):
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            params = init_params(6, 2, seed=trial)
+            inp = make_input(rng)
+            mu = encode(params, inp.x, inp.s_bits, inp.t_bits)
+            mu_p = process(params, mu, inp.adjacency, inp.degrees)
+            assert np.array_equal(forward(params, inp).mu_p, mu_p)
+            # one row at a time may round differently from the batched product
+            q = q_values(params, inp)
+            assert [decode_q(params, mu_p, v) for v in range(len(q))] == \
+                pytest.approx(list(q), rel=1e-12, abs=1e-12)
+
 
 class TestPermutationEquivariance:
     def test_relabeling_permutes_q_values(self):
@@ -276,4 +290,37 @@ class TestCheckpoint:
         payload["p_dim"] = 3
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="disagrees"):
+            load_checkpoint(path)
+
+    def saved_payload(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(init_params(2, 2, seed=0), path)
+        return path, json.loads(path.read_text())
+
+    def test_rejects_missing_tensor(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        del payload["params"]["theta5"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="missing tensor theta5"):
+            load_checkpoint(path)
+
+    def test_rejects_misshaped_tensor(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["params"]["w1"] = [[0.5]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"tensor w1: shape \(1, 1\)"):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_tensor(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["params"]["b2"][1] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tensor b2 holds non-finite"):
+            load_checkpoint(path)
+
+    def test_rejects_bad_header(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        del payload["k"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="p_dim and k"):
             load_checkpoint(path)

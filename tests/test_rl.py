@@ -11,6 +11,7 @@ from steinerkit.qnet import init_params, q_values, sgd_step, zero_like
 from steinerkit.rl import (
     CurveRow,
     DdqnConfig,
+    Learner,
     ReplayBuffer,
     Transition,
     active_search,
@@ -19,8 +20,8 @@ from steinerkit.rl import (
     frontier_q_values,
     greedy_rollout,
     instance_static,
+    play_episode,
     reset,
-    run_episode,
     select_action,
     snapshot_net_input,
     step,
@@ -290,9 +291,14 @@ class TestConfigValidation:
 
 class TestTrainStep:
     def fill_buffer(self, buf, params, n_episodes=3):
+        # a warm-up longer than the buffer: transitions are only recorded
+        record_only = DdqnConfig(p_dim=params.p_dim, k=params.k,
+                                 warmup_batches=buf.capacity + 1)
+        learner = Learner(buf, sync_target(params), record_only)
         rng = np.random.default_rng(5)
         for _ in range(n_episodes):
-            run_episode(REWARD_INSTANCE, params, 1.0, rng, buffer=buf)
+            play_episode(REWARD_INSTANCE, params, 1.0, rng, learner=learner)
+        assert learner.steps == 0
 
     def test_zero_residual_leaves_params_unchanged(self):
         params = init_params(2, 2, seed=0)
@@ -336,13 +342,14 @@ class TestTrainStep:
         assert not np.array_equal(params.theta1, target.theta1)
 
 
-class TestRunEpisode:
+class TestPlayEpisode:
     def test_invariants_over_many_episodes(self):
         rng = np.random.default_rng(17)
         for seed in range(12):
             inst = small_instance(seed)
             params = init_params(2, 2, seed=seed)
-            state = run_episode(inst, params, 0.3, rng)
+            state, losses = play_episode(inst, params, 0.3, rng)
+            assert losses == []
             assert state.done
             assert set(inst.terminals) <= {v for v in state.order}
             assert len(state.chosen_edges) == len(state.order) - 1
@@ -354,9 +361,32 @@ class TestRunEpisode:
     def test_buffer_receives_every_transition(self):
         buf = ReplayBuffer(100, np.random.default_rng(0))
         params = init_params(2, 2, seed=0)
-        state = run_episode(REWARD_INSTANCE, params, 0.0,
-                            np.random.default_rng(0), buffer=buf)
+        learner = Learner(buf, sync_target(params),
+                          DdqnConfig(p_dim=2, k=2, warmup_batches=101))
+        state, losses = play_episode(REWARD_INSTANCE, params, 0.0,
+                                     np.random.default_rng(0), learner=learner)
         assert len(buf) == len(state.order) - 1
+        assert losses == []
+
+    def test_learner_steps_once_per_transition_after_warmup(self):
+        params = init_params(2, 2, seed=0)
+        cfg = DdqnConfig(p_dim=2, k=2, batch=2, warmup_batches=1, target_sync=2)
+        learner = Learner(ReplayBuffer(100, np.random.default_rng(0)),
+                          sync_target(params), cfg)
+        rng = np.random.default_rng(3)
+        total = 0
+        for _ in range(4):
+            _, losses = play_episode(REWARD_INSTANCE, params, 0.5, rng,
+                                     learner=learner)
+            total += len(losses)
+        # every push from the second on trains once
+        assert total == learner.steps == len(learner.buffer) - 1
+
+    def test_frontier_vertex_without_tree_neighbor_raises(self):
+        state = reset(REWARD_INSTANCE, start=0)
+        state.frontier.add(3)  # corrupt: 3 touches no tree vertex
+        with pytest.raises(RuntimeError, match="no tree neighbor"):
+            step(state, 3)
 
 
 class TestTrain:
