@@ -146,11 +146,22 @@ def reference_cost(instance: StpInstance, kind: str) -> float:
 
 def _bench_one(args) -> list[BenchRow]:
     instance, methods, reference, params, active_budget, seed = args
-    ref = reference_cost(instance, reference)
+
+    def solve(method):
+        return solve_with_method(instance, method, params=params,
+                                 active_budget=active_budget, seed=seed)
+
+    # A reference that is also a method is priced by that method's run, made
+    # first, where reference_cost would have run, so errors keep their order.
+    runs = {}
+    if reference in methods:
+        runs[reference] = solve(reference)
+        ref = runs[reference][0].cost
+    else:
+        ref = reference_cost(instance, reference)
     rows = []
     for method in methods:
-        tree, wall = solve_with_method(instance, method, params=params,
-                                       active_budget=active_budget, seed=seed)
+        tree, wall = runs[method] if method in runs else solve(method)
         rows.append(BenchRow(instance=instance.id, method=method,
                              cost=tree.cost, reference=ref,
                              ratio=tree.cost / ref, wall_time=wall))

@@ -5,8 +5,10 @@ vertex per step, until every terminal is covered.  Rewards are the
 negative attachment cost minus the vertex's remaining nearest-terminal
 distance mass, plus a bonus for reaching a terminal.  Training is double
 deep Q-learning: actions picked by the live network, valued by a frozen
-target copy, from uniformly sampled replay.  Training, greedy rollouts and
-active search all play their episodes through ``play_episode``.
+target copy, from uniformly sampled replay.  A replayed transition stores
+the network inputs it was played from and led to, so learning never looks
+the instance up again.  Training, greedy rollouts and active search all
+play their episodes through ``play_episode``.
 """
 
 from __future__ import annotations
@@ -93,42 +95,22 @@ class EpisodeState:
             degrees=self.static.degrees,
         )
 
-    def snapshot(self) -> "StateSnapshot":
-        return StateSnapshot(
-            x=self.x,
-            s_bits=self.in_tree.astype(float),
-            frontier=self.frontier_sorted,
-            done=self.done,
-        )
-
-
-@dataclass(frozen=True)
-class StateSnapshot:
-    """Immutable view of an episode moment, enough to re-run the network."""
-
-    x: np.ndarray
-    s_bits: np.ndarray
-    frontier: tuple[int, ...]
-    done: bool
-
 
 @dataclass(frozen=True)
 class Transition:
-    instance: StpInstance
-    before: StateSnapshot
+    """One replayed step, holding the network inputs it was played from.
+
+    ``before``/``after`` own their state bits and feature rows (the episode
+    replaces, never mutates, them), so later steps leave a transition as
+    recorded; the instance constants are shared.
+    """
+
+    before: NetInput
     action: int
     reward: float
-    after: StateSnapshot
-
-    @property
-    def done(self) -> bool:
-        return self.after.done
-
-
-def snapshot_net_input(instance: StpInstance, snap: StateSnapshot) -> NetInput:
-    st = instance_static(instance)
-    return NetInput(x=snap.x, s_bits=snap.s_bits, t_bits=st.t_bits,
-                    adjacency=st.adjacency, degrees=st.degrees)
+    after: NetInput
+    next_frontier: tuple[int, ...]
+    done: bool
 
 
 DEFAULT_K = 2
@@ -238,14 +220,12 @@ def ddqn_target(transition: Transition, env_params: QNetParams,
     """Double estimator: live net picks the successor action, frozen net prices it."""
     if transition.done:
         return transition.reward
-    after = transition.after
-    if not after.frontier:
+    if not transition.next_frontier:
         raise ValueError("non-terminal transition with empty next frontier")
-    inp = snapshot_net_input(transition.instance, after)
-    q_env = q_values(env_params, inp)
-    frontier = np.array(after.frontier)
+    q_env = q_values(env_params, transition.after)
+    frontier = np.array(transition.next_frontier)
     v_star = int(frontier[int(np.argmax(q_env[frontier]))])
-    q_tgt = q_values(target_params, inp)
+    q_tgt = q_values(target_params, transition.after)
     return transition.reward + gamma * float(q_tgt[v_star])
 
 
@@ -326,8 +306,7 @@ def train_step(buffer: ReplayBuffer, env_params: QNetParams,
     total_loss = 0.0
     for tr in batch:
         y = ddqn_target(tr, env_params, target_params, config.gamma)
-        inp = snapshot_net_input(tr.instance, tr.before)
-        loss, g = grad(env_params, inp, tr.action, y)
+        loss, g = grad(env_params, tr.before, tr.action, y)
         total_loss += loss
         add_grads(acc, g)
     for name in acc:
@@ -382,13 +361,14 @@ def play_episode(instance: StpInstance, params: QNetParams, epsilon: float,
     losses = []
     while not state.done:
         q_map = frontier_q_values(params, state)
-        before = state.snapshot() if learner is not None else None
+        before = state.net_input() if learner is not None else None
         action = select_action(state, q_map, epsilon, rng)
         _, reward = step(state, action)
         if learner is not None:
             loss = learner.observe(params, Transition(
-                instance=instance, before=before, action=action,
-                reward=reward, after=state.snapshot()))
+                before=before, action=action, reward=reward,
+                after=state.net_input(), next_frontier=state.frontier_sorted,
+                done=state.done))
             if loss is not None:
                 losses.append(loss)
     return state, losses

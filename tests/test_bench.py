@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from steinerkit import bench
 from steinerkit.bench import (
     BenchReport,
     BenchRow,
@@ -157,6 +158,32 @@ class TestRunBench:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_bench(instances(1), ("classic", "psychic"))
+
+    @pytest.mark.parametrize("solver, method", [("kmb", "classic"),
+                                                ("dreyfus_wagner", "exact")])
+    def test_reference_method_solves_each_instance_once(self, monkeypatch,
+                                                         solver, method):
+        calls = []
+        real = getattr(bench, solver)
+
+        def counting(instance):
+            calls.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(bench, solver, counting)
+        insts = instances(3)
+        rep = run_bench(insts, ("classic", "exact"), reference=method)
+        assert len(calls) == len(insts)
+        for row in rep.rows:
+            if row.method == method:
+                assert row.ratio == 1.0 and row.cost == row.reference
+
+    def test_reference_error_comes_before_other_methods(self):
+        # 18 terminals exceed the exact cap; the agent would fail without params
+        inst = generate(GeneratorConfig(model="er", n=20, terminal_ratio=0.9,
+                                        weight_range=(1.0, 4.0), seed=0))
+        with pytest.raises(ValueError, match="exact-solver cap"):
+            run_bench([inst], ("agent", "exact"), reference="exact")
 
     def test_parallel_matches_serial(self):
         insts = instances(3, n=8)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from steinerkit.generators import GeneratorConfig, generate
@@ -23,7 +25,6 @@ from steinerkit.rl import (
     play_episode,
     reset,
     select_action,
-    snapshot_net_input,
     step,
     sync_target,
     train,
@@ -44,6 +45,43 @@ REWARD_INSTANCE = StpInstance(
 def small_instance(seed=0, n=8):
     return generate(GeneratorConfig(model="er", n=n, terminal_ratio=0.4,
                                     weight_range=(1.0, 4.0), seed=seed))
+
+
+def recorded_step(state, v):
+    """Take one step and return it as the transition replay would hold."""
+    before = state.net_input()
+    _, reward = step(state, v)
+    return Transition(before=before, action=v, reward=reward,
+                      after=state.net_input(),
+                      next_frontier=state.frontier_sorted, done=state.done)
+
+
+def record_only_learner(buf, params):
+    """A learner whose warm-up outlasts its buffer: it only records."""
+    cfg = DdqnConfig(p_dim=params.p_dim, k=params.k,
+                     warmup_batches=buf.capacity + 1)
+    return Learner(buf, sync_target(params), cfg)
+
+
+@st.composite
+def split_instances(draw):
+    """SteinLib-style input: a connected terminal component plus vertices
+    outside it (isolated or in their own pieces), ids interleaved."""
+    inside, outside = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(inside + outside)))
+    comp, rest = ids[:inside], ids[inside:]
+    weights = {}
+    for i in range(1, inside):  # a random spanning tree keeps comp connected
+        weights[comp[draw(st.integers(0, i - 1))], comp[i]] = draw(st.integers(1, 9))
+    for group in (comp, rest):
+        pairs = list(itertools.combinations(group, 2))
+        if pairs:
+            for a, b in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+                if (a, b) not in weights and (b, a) not in weights:
+                    weights[a, b] = draw(st.integers(1, 9))
+    terminals = draw(st.sets(st.sampled_from(comp), min_size=1))
+    graph = WeightedGraph(len(ids), [(a, b, w) for (a, b), w in weights.items()])
+    return StpInstance(graph=graph, terminals=frozenset(terminals)), set(rest)
 
 
 class TestInstanceStatic:
@@ -147,13 +185,15 @@ class TestStepRewards:
         with pytest.raises(ValueError, match="finished"):
             step(state, 2)
 
-    def test_snapshot_isolated_from_later_steps(self):
+    def test_net_input_isolated_from_later_steps(self):
         state = reset(REWARD_INSTANCE, start=0)
-        snap = state.snapshot()
+        inp = state.net_input()
+        x = inp.x.copy()
         step(state, 1)
-        assert snap.s_bits[1] == 0.0
-        assert snap.frontier == (1,)
-        assert state.snapshot().frontier == (2, 3)
+        step(state, 3)  # a terminal: the feature rows are replaced
+        assert list(inp.s_bits) == [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(inp.x, x)
+        assert list(state.net_input().s_bits) == [1.0, 1.0, 0.0, 1.0]
 
 
 class TestActionSelection:
@@ -188,15 +228,16 @@ class TestActionSelection:
 class TestDdqnTarget:
     def make_transition(self, done):
         state = reset(REWARD_INSTANCE, start=0)
-        before = state.snapshot()
-        _, r = step(state, 1)
-        tr_mid = Transition(instance=REWARD_INSTANCE, before=before, action=1,
-                            reward=r, after=state.snapshot())
-        before2 = state.snapshot()
-        _, r2 = step(state, 3)
-        tr_done = Transition(instance=REWARD_INSTANCE, before=before2, action=3,
-                             reward=r2, after=state.snapshot())
+        tr_mid = recorded_step(state, 1)
+        tr_done = recorded_step(state, 3)
         return tr_done if done else tr_mid
+
+    def test_recorded_fields(self):
+        tr = self.make_transition(done=False)
+        assert tr.next_frontier == (2, 3) and not tr.done
+        assert list(tr.before.s_bits) == [1.0, 0.0, 0.0, 0.0]
+        assert list(tr.after.s_bits) == [1.0, 1.0, 0.0, 0.0]
+        assert self.make_transition(done=True).done
 
     def test_done_transition_returns_reward(self):
         tr = self.make_transition(done=True)
@@ -211,19 +252,17 @@ class TestDdqnTarget:
     def test_identical_nets_reduce_to_max_target(self):
         tr = self.make_transition(done=False)
         params = init_params(3, 2, seed=1)
-        inp = snapshot_net_input(REWARD_INSTANCE, tr.after)
-        q = q_values(params, inp)
-        expected = tr.reward + 0.5 * max(q[v] for v in tr.after.frontier)
+        q = q_values(params, tr.after)
+        expected = tr.reward + 0.5 * max(q[v] for v in tr.next_frontier)
         assert ddqn_target(tr, params, params, gamma=0.5) == pytest.approx(expected)
 
     def test_double_estimator_uses_env_argmax(self):
         tr = self.make_transition(done=False)
         env = init_params(3, 2, seed=1)
         tgt = init_params(3, 2, seed=2)
-        inp = snapshot_net_input(REWARD_INSTANCE, tr.after)
-        frontier = np.array(tr.after.frontier)
-        v_star = frontier[np.argmax(q_values(env, inp)[frontier])]
-        expected = tr.reward + 0.5 * q_values(tgt, inp)[v_star]
+        frontier = np.array(tr.next_frontier)
+        v_star = frontier[np.argmax(q_values(env, tr.after)[frontier])]
+        expected = tr.reward + 0.5 * q_values(tgt, tr.after)[v_star]
         assert ddqn_target(tr, env, tgt, gamma=0.5) == pytest.approx(expected)
 
 
@@ -232,9 +271,9 @@ class TestReplayBuffer:
         return ReplayBuffer(cap, np.random.default_rng(seed))
 
     def dummy(self, tag):
-        snap = reset(REWARD_INSTANCE, start=0).snapshot()
-        return Transition(instance=REWARD_INSTANCE, before=snap, action=tag,
-                          reward=float(tag), after=snap)
+        inp = reset(REWARD_INSTANCE, start=0).net_input()
+        return Transition(before=inp, action=tag, reward=float(tag), after=inp,
+                          next_frontier=(1,), done=False)
 
     def test_ring_overwrites_oldest(self):
         buf = self.make(cap=3)
@@ -291,10 +330,7 @@ class TestConfigValidation:
 
 class TestTrainStep:
     def fill_buffer(self, buf, params, n_episodes=3):
-        # a warm-up longer than the buffer: transitions are only recorded
-        record_only = DdqnConfig(p_dim=params.p_dim, k=params.k,
-                                 warmup_batches=buf.capacity + 1)
-        learner = Learner(buf, sync_target(params), record_only)
+        learner = record_only_learner(buf, params)
         rng = np.random.default_rng(5)
         for _ in range(n_episodes):
             play_episode(REWARD_INSTANCE, params, 1.0, rng, learner=learner)
@@ -302,15 +338,10 @@ class TestTrainStep:
 
     def test_zero_residual_leaves_params_unchanged(self):
         params = init_params(2, 2, seed=0)
-        state = reset(REWARD_INSTANCE, start=0)
-        before = state.snapshot()
-        step(state, 1)
-        q = float(q_values(params, snapshot_net_input(REWARD_INSTANCE, before))[1])
-        snap_done = reset(REWARD_INSTANCE, start=0).snapshot()
-        done_after = type(snap_done)(x=snap_done.x, s_bits=snap_done.s_bits,
-                                     frontier=(), done=True)
-        tr = Transition(instance=REWARD_INSTANCE, before=before, action=1,
-                        reward=q, after=done_after)
+        before = reset(REWARD_INSTANCE, start=0).net_input()
+        q = float(q_values(params, before)[1])
+        tr = Transition(before=before, action=1, reward=q, after=before,
+                        next_frontier=(), done=True)
         buf = ReplayBuffer(4, np.random.default_rng(0))
         buf.push(tr)
         cfg = DdqnConfig(p_dim=2, k=2, batch=1, lr=0.5, rounds=1)
@@ -320,6 +351,16 @@ class TestTrainStep:
         assert loss < 1e-25
         for name, arr in params.as_dict().items():
             assert np.allclose(arr, frozen[name], atol=1e-14, rtol=0)
+
+    def test_replay_never_looks_up_instance_constants(self):
+        params = init_params(2, 2, seed=0)
+        buf = ReplayBuffer(200, np.random.default_rng(1))
+        self.fill_buffer(buf, params)
+        instance_static.cache_clear()
+        info = instance_static.cache_info()
+        cfg = DdqnConfig(p_dim=2, k=2, batch=len(buf), rounds=1)
+        train_step(buf, params, sync_target(params), cfg)
+        assert instance_static.cache_info() == info
 
     def test_loss_falls_on_frozen_buffer(self):
         params = init_params(4, 2, seed=2)
@@ -387,6 +428,32 @@ class TestPlayEpisode:
         state.frontier.add(3)  # corrupt: 3 touches no tree vertex
         with pytest.raises(RuntimeError, match="no tree neighbor"):
             step(state, 3)
+
+
+class TestEpisodeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=split_instances(), seed=st.integers(0, 2**16),
+           epsilon=st.floats(0.0, 1.0))
+    def test_episodes_stay_in_the_terminal_component(self, case, seed, epsilon):
+        inst, outside = case
+        params = init_params(3, 2, seed=seed)
+        buf = ReplayBuffer(100, np.random.default_rng(seed))
+        state, _ = play_episode(inst, params, epsilon, np.random.default_rng(seed),
+                                learner=record_only_learner(buf, params))
+        assert len(buf) == len(state.order) - 1
+        frontier = reset(inst, start=state.order[0]).frontier_sorted
+        assert not outside & set(frontier)
+        for tr in buf._data:
+            assert tr.action in frontier
+            expected = tr.before.s_bits.copy()
+            assert expected[tr.action] == 0.0
+            expected[tr.action] = 1.0
+            assert np.array_equal(tr.after.s_bits, expected)
+            frontier = tr.next_frontier
+            assert not outside & set(frontier)
+        tree = greedy_rollout(inst, params)
+        assert verify_tree(inst, tree.edges) == tree
+        assert not outside & tree.vertices
 
 
 class TestTrain:
