@@ -359,16 +359,19 @@ def play_episode(instance: StpInstance, params: QNetParams, epsilon: float,
     from as it happens; returns the finished state and the step losses."""
     state = reset(instance, rng=rng, start=start, k=params.k)
     losses = []
+    # one NetInput per visited state: a step's `after` is the next step's `before`
+    before = state.net_input() if learner is not None else None
     while not state.done:
         q_map = frontier_q_values(params, state)
-        before = state.net_input() if learner is not None else None
         action = select_action(state, q_map, epsilon, rng)
         _, reward = step(state, action)
         if learner is not None:
+            after = state.net_input()
             loss = learner.observe(params, Transition(
                 before=before, action=action, reward=reward,
-                after=state.net_input(), next_frontier=state.frontier_sorted,
+                after=after, next_frontier=state.frontier_sorted,
                 done=state.done))
+            before = after
             if loss is not None:
                 losses.append(loss)
     return state, losses

@@ -22,6 +22,9 @@ from .graph import (
 )
 
 DW_TERMINAL_CAP = 14
+# Element budget of each temporary array one block of the Dreyfus-Wagner
+# subset DP builds (split indices, merge candidates, relaxation sums).
+_DW_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,16 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     is solved by merging two sub-splits at a common vertex, then relaxing
     through the all-pairs shortest-path metric.  O(3^t n + 2^t n^2) time,
     exponential only in the terminal count, hence the cap.
+
+    Masks are solved one popcount level at a time, since a mask depends
+    only on smaller ones, in blocks of masks that numpy merges and relaxes
+    together; a mask with too many splits for one block is merged in
+    chunks.  Every temporary a block builds holds at most
+    ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the relaxation
+    sums reuse two buffers of that size), so past the ``(2^t, n)`` tables
+    and the ``n x n`` metric, memory does not grow with t.  Ties resolve
+    as a scalar loop would: the first split in descending submask order
+    and the lowest relaxation vertex win.
     """
     terms = instance.terminal_list
     if len(terms) > max_terminals:
@@ -227,25 +240,21 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     for i, term in enumerate(others):
         dp[1 << i] = dist[term]
 
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue  # single-terminal base case set above
-        low = mask & -mask
-        tmp = np.full(n, np.inf)
-        choice = np.zeros(n, dtype=np.int32)
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                cand = dp[sub] + dp[mask ^ sub]
-                better = cand < tmp
-                tmp[better] = cand[better]
-                choice[better] = sub
-            sub = (sub - 1) & mask
-        relax = tmp[:, None] + dist
-        grow = relax.argmin(axis=0)
-        dp[mask] = relax[grow, np.arange(n)]
-        grow_u[mask] = grow
-        split_sub[mask] = choice
+    dist_t = np.ascontiguousarray(dist.T)
+    # gather and relaxation buffers, reused so blocks fault in no fresh
+    # pages; a block needs at least one n-row
+    scratch = np.empty((2, max(_DW_BLOCK_ELEMENTS, n)))
+    every_mask = np.arange(1 << t)
+    popcount = sum((every_mask >> i) & 1 for i in range(t))
+    for k in range(2, t + 1):
+        level = np.flatnonzero(popcount == k)
+        # a block's splits and its relaxation each fit the budget
+        per_block = max(1, _DW_BLOCK_ELEMENTS // (max(1 << (k - 1), n) * n))
+        for a in range(0, len(level), per_block):
+            masks = level[a:a + per_block]
+            tmp, choice = _dw_merge(dp, masks, k, scratch)
+            dp[masks], grow_u[masks] = _dw_relax(tmp, dist_t, scratch[0])
+            split_sub[masks] = choice
 
     edges: set[tuple[int, int, float]] = set()
 
@@ -273,3 +282,75 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
         raise RuntimeError(f"reconstruction cost mismatch: tree {tree.cost}, "
                            f"table {float(dp[full][root])}")
     return tree
+
+
+def _dw_merge(dp: np.ndarray, masks: np.ndarray, k: int,
+              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest merge of two disjoint halves at each vertex, for a block of
+    popcount-k masks; returns the costs and the half holding the mask's
+    lowest bit (0 where no merge is finite).
+
+    The 2^(k-1) - 1 halves of each mask are listed in descending order, the
+    order ``sub = (sub - 1) & mask`` walks them, so ``argmin``'s first
+    minimum and the strict ``<`` between chunks keep the first best split.
+    A chunk fixes the high bits of the other k - 1 mask bits and ranges
+    over the low ``m`` bits.
+    """
+    c, n = len(masks), dp.shape[1]
+    rest = masks.copy()
+    low = rest & -rest
+    rest ^= low
+    upper = np.empty((c, k - 1), dtype=np.int64)  # the other bits, lowest first
+    for j in range(k - 1):
+        upper[:, j] = rest & -rest
+        rest ^= upper[:, j]
+    m = min(k - 1, max(0, (_DW_BLOCK_ELEMENTS // (c * n)).bit_length() - 1))
+    low_bits = _subset_sums_descending(upper[:, :m])
+    high_bits = low[:, None] + _subset_sums_descending(upper[:, m:])
+    rows, vertices = np.arange(c)[:, None], np.arange(n)
+    tmp = np.full((c, n), np.inf)
+    choice = np.zeros((c, n), dtype=np.int32)
+    for i in range(high_bits.shape[1]):
+        subs = high_bits[:, i:i + 1] + low_bits
+        if i == 0:
+            subs = subs[:, 1:]  # all k bits: the mask itself
+            if not subs.size:
+                continue
+        # indices are in range; mode="clip" lets take fill `out` directly
+        shape, size = subs.shape + (n,), subs.size * n
+        cand = np.take(dp, subs, axis=0, mode="clip", out=scratch[0, :size].reshape(shape))
+        cand += np.take(dp, masks[:, None] ^ subs, axis=0, mode="clip",
+                        out=scratch[1, :size].reshape(shape))
+        at = cand.argmin(axis=1)
+        best = cand[rows, at, vertices]
+        better = best < tmp
+        tmp[better] = best[better]
+        choice[better] = subs[rows, at][better]
+    return tmp, choice
+
+
+def _subset_sums_descending(bits: np.ndarray) -> np.ndarray:
+    """(c, j) distinct single-bit columns -> (c, 2^j) sums of every subset of
+    each row's bits, in descending order."""
+    sums = np.zeros((len(bits), 1), dtype=np.int64)
+    for j in range(bits.shape[1]):
+        sums = np.concatenate([sums + bits[:, j:j + 1], sums], axis=1)
+    return sums
+
+
+def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray,
+              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min over u of tmp[:, u] + dist[u, v] for every row of ``tmp`` and
+    vertex v, with the lowest minimizing u; ``dist_t`` is dist transposed."""
+    c, n = tmp.shape
+    cost = np.empty((c, n))
+    grow = np.empty((c, n), dtype=np.int32)
+    chunk = max(1, _DW_BLOCK_ELEMENTS // (c * n))
+    for b in range(0, n, chunk):
+        part = dist_t[b:b + chunk]
+        relax = np.add(tmp[:, None, :], part,
+                       out=scratch[:c * part.size].reshape(c, *part.shape))
+        at = relax.argmin(axis=2)
+        grow[:, b:b + chunk] = at
+        cost[:, b:b + chunk] = np.take_along_axis(relax, at[..., None], axis=2)[..., 0]
+    return cost, grow

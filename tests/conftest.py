@@ -1,4 +1,12 @@
-"""Shared test plumbing: acceptance-criteria result collection."""
+"""Shared test plumbing: a fixed hypothesis profile and acceptance-criteria
+result collection."""
+
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# depends on the code alone.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
 

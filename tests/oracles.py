@@ -1,9 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Nothing here imports solver internals: the Steiner oracle enumerates
-vertex subsets, the network oracle is plain-Python scalar arithmetic, and
-gradients come from central finite differences.  Deliberately slow and
-simple.
+vertex subsets, the Dreyfus-Wagner reference walks submasks one at a time,
+the network oracle is plain-Python scalar arithmetic, and gradients come
+from central finite differences.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-from steinerkit.graph import StpInstance
+from steinerkit.graph import StpInstance, all_pairs_shortest_paths, reconstruct_path
 from steinerkit.qnet import NetInput, QNetParams, forward
+from steinerkit.solvers import SteinerTree, prune, verify_tree
 
 
 def _mst_cost_over(vertices, edges):
@@ -58,6 +59,59 @@ def brute_force_steiner_cost(instance: StpInstance) -> float:
             if cost is not None and cost < best:
                 best = cost
     return best
+
+
+def submask_loop_dreyfus_wagner(instance: StpInstance) -> SteinerTree:
+    """Dreyfus-Wagner as a loop over masks and their submasks, one vertex
+    row at a time.  Ties keep the first strictly better split in
+    ``sub = (sub - 1) & mask`` order and the lowest relaxation vertex, so
+    ``solvers.dreyfus_wagner`` must return exactly this tree."""
+    terms = instance.terminal_list
+    if len(terms) == 1:
+        return verify_tree(instance, ())
+    g = instance.graph
+    n = g.vertex_count
+    dist, parents = all_pairs_shortest_paths(g)
+    root, others = terms[0], terms[1:]
+    full = (1 << len(others)) - 1
+    dp = np.full((full + 1, n), np.inf)
+    grow_u = np.full((full + 1, n), -1)
+    split_sub = np.zeros((full + 1, n), dtype=int)
+    for i, term in enumerate(others):
+        dp[1 << i] = dist[term]
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & -mask
+        tmp = np.full(n, np.inf)
+        choice = np.zeros(n, dtype=int)
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                cand = dp[sub] + dp[mask ^ sub]
+                better = cand < tmp
+                tmp[better] = cand[better]
+                choice[better] = sub
+            sub = (sub - 1) & mask
+        relax = tmp[:, None] + dist
+        grow_u[mask] = relax.argmin(axis=0)
+        dp[mask] = relax[grow_u[mask], np.arange(n)]
+        split_sub[mask] = choice
+
+    edges = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        if mask & (mask - 1) == 0:
+            u = others[mask.bit_length() - 1]
+        else:
+            u = int(grow_u[mask][v])
+            sub = int(split_sub[mask][u])
+            stack += [(sub, u), (mask ^ sub, u)]
+        path = reconstruct_path(parents[u], u, v)
+        for a, b in zip(path, path[1:]):
+            edges.add((min(a, b), max(a, b)))
+    return prune(verify_tree(instance, edges), instance.terminals)
 
 
 def edge_subset_steiner_cost(instance: StpInstance) -> float:

@@ -409,6 +409,17 @@ class TestPlayEpisode:
         assert len(buf) == len(state.order) - 1
         assert losses == []
 
+    def test_each_state_is_stored_once(self):
+        inst = small_instance(4, n=12)
+        params = init_params(2, 2, seed=4)
+        buf = ReplayBuffer(100, np.random.default_rng(4))
+        play_episode(inst, params, 0.3, np.random.default_rng(4),
+                     learner=record_only_learner(buf, params))
+        transitions = buf._data
+        assert len(transitions) >= 2
+        for prev, nxt in zip(transitions, transitions[1:]):
+            assert prev.after is nxt.before
+
     def test_learner_steps_once_per_transition_after_warmup(self):
         params = init_params(2, 2, seed=0)
         cfg = DdqnConfig(p_dim=2, k=2, batch=2, warmup_batches=1, target_sync=2)

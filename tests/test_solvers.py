@@ -1,12 +1,20 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_steiner_cost,
     edge_subset_steiner_cost,
     random_instance,
+    submask_loop_dreyfus_wagner,
 )
 
+from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
+from steinerkit.reductions import reduce_mvc, reduce_sat, reduce_x3c
 from steinerkit.solvers import (
     SteinerTree,
     TreeVerificationError,
@@ -17,6 +25,9 @@ from steinerkit.solvers import (
 )
 
 DIAMOND = [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 5.0), (2, 3, 1.0)]
+
+# sha256 of every (edges, cost) that dreyfus_wagner returns on golden_instances()
+DW_GOLDEN_DIGEST = "3b317969a45a6b5f84c7bc5c94318faa0d1235bf9e28ff4222257ed6e1eeb841"
 
 
 def diamond_instance(terminals):
@@ -184,6 +195,91 @@ class TestDreyfusWagner:
         tree = dreyfus_wagner(inst)
         assert tree.cost == 3.0
         assert 3 in tree.vertices
+
+
+def with_terminal_count(spec, seed, count):
+    """Generated instance whose terminals are ``count`` vertices drawn from ``seed``."""
+    inst = generate(parse_generator_spec(spec, seed=seed))
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(inst.graph.vertex_count, size=count, replace=False)
+    return StpInstance(graph=inst.graph, terminals=frozenset(int(v) for v in picked))
+
+
+def with_outside_vertices():
+    """A unit-weight rr component with five vertices outside it (a path
+    and two isolated ones) whose ids interleave with the component's."""
+    inner = with_terminal_count("rr:n=24,w=1:1", 7, 8)
+    outside = [3, 10, 17, 25, 28]
+    ids = [v for v in range(29) if v not in outside]
+    edges = [(ids[u], ids[v], w) for u, v, w in inner.graph.edges]
+    edges += [(3, 17, 2.0), (17, 25, 1.0)]
+    return StpInstance(graph=WeightedGraph(29, edges),
+                       terminals=frozenset(ids[t] for t in inner.terminals))
+
+
+def golden_instances():
+    """Fixed inputs for the output digest: weighted er at |T| = 2..12,
+    tie-heavy unit-weight rr, reduction outputs and a split graph."""
+    for count in range(2, 13):
+        yield with_terminal_count("er:n=100,w=1:5", 100 + count, count)
+    for seed, count in itertools.product(range(3), (4, 7, 10)):
+        yield with_terminal_count("rr:n=30,w=1:1", seed, count)
+    yield reduce_sat(3, [[1, -2, 3], [-1, 2], [2, -3], [-1, -2, -3], [3], [1, 2]]).instance
+    yield reduce_sat(4, [[1, 2], [-1, 3, -4], [2, -3], [-2, 4], [1, -4],
+                         [-1, -2, 3], [3, 4], [-3, -4, 1]]).instance
+    yield reduce_mvc(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5),
+                         (4, 5), (0, 5), (2, 5)], 4).instance
+    yield reduce_x3c(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7),
+                         (2, 5, 8)]).instance
+    yield with_outside_vertices()
+
+
+def test_dreyfus_wagner_golden_digest():
+    """Edges and costs stay byte-identical, tie-breaks included."""
+    h = hashlib.sha256()
+    for inst in golden_instances():
+        tree = dreyfus_wagner(inst)
+        h.update(repr((tree.edges, tree.cost)).encode())
+    assert h.hexdigest() == DW_GOLDEN_DIGEST
+
+
+@st.composite
+def connected_instances(draw, max_n, max_terminals, max_weight=9):
+    """Connected graph (a random spanning tree plus extra edges) with
+    integer weights and 2..max_terminals terminals."""
+    n = draw(st.integers(2, max_n))
+    weight = st.integers(1, max_weight)
+    weights = {}
+    for v in range(1, n):
+        weights[draw(st.integers(0, v - 1)), v] = draw(weight)
+    pairs = list(itertools.combinations(range(n), 2))
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)):
+        weights.setdefault(pair, draw(weight))
+    terminals = draw(st.sets(st.integers(0, n - 1), min_size=2,
+                             max_size=min(n, max_terminals)))
+    graph = WeightedGraph(n, [(u, v, w) for (u, v), w in weights.items()])
+    return StpInstance(graph=graph, terminals=frozenset(terminals))
+
+
+class TestDreyfusWagnerProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(inst=connected_instances(max_n=8, max_terminals=5))
+    def test_cost_matches_brute_force(self, inst):
+        assert dreyfus_wagner(inst).cost == pytest.approx(brute_force_steiner_cost(inst))
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=connected_instances(max_n=40, max_terminals=9))
+    def test_tree_is_valid_and_bounds_kmb(self, inst):
+        tree = dreyfus_wagner(inst)
+        assert verify_tree(inst, tree.edges) == tree
+        approx = kmb(inst).cost
+        assert tree.cost - 1e-9 <= approx <= 2 * tree.cost + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=connected_instances(max_n=30, max_terminals=8, max_weight=2))
+    def test_same_tree_as_the_submask_loop(self, inst):
+        # weights 1..2 tie many splits and relaxations
+        assert dreyfus_wagner(inst) == submask_loop_dreyfus_wagner(inst)
 
 
 def test_steiner_tree_repr():
