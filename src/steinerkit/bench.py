@@ -19,7 +19,7 @@ import numpy as np
 from .graph import StpInstance
 from .qnet import QNetParams
 from .rl import active_search, greedy_rollout
-from .solvers import SteinerTree, dreyfus_wagner, kmb, verify_tree
+from .solvers import DW_TERMINAL_CAP, SteinerTree, dreyfus_wagner, kmb, verify_tree
 
 METHODS = ("classic", "exact", "agent", "active")
 REFERENCES = ("classic", "exact", "opt", "bound")
@@ -175,11 +175,19 @@ def run_bench(instances, methods, reference: str = "classic",
 
     ``workers`` > 1 fans instances out over processes; row order is by
     instance then method either way, so reports don't depend on scheduling.
+    Instances over the exact solver's terminal cap are rejected up front,
+    all in one error, before any solver runs.
     """
     instances = list(instances)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    if "exact" in methods or reference == "exact":
+        over = [f"{inst.id} ({len(inst.terminals)} terminals)" for inst in instances
+                if len(inst.terminals) > DW_TERMINAL_CAP]
+        if over:
+            raise ValueError(f"instances exceed the exact-solver cap of "
+                             f"{DW_TERMINAL_CAP} terminals: {', '.join(over)}")
     jobs = [(inst, tuple(methods), reference, params, active_budget, seed + i)
             for i, inst in enumerate(instances)]
     rows: list[BenchRow] = []

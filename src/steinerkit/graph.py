@@ -160,11 +160,11 @@ def shortest_paths_with_parents(
     return dist, parent
 
 
-def reconstruct_path(parent: list[int], source: int, target: int) -> list[int]:
-    """Vertex path from ``source`` to ``target`` along a Dijkstra parent tree."""
+def reconstruct_path(parent, source: int, target: int) -> list[int]:
+    """Vertex path (of ``int`` ids) from ``source`` to ``target`` along a Dijkstra parent tree."""
     path = [target]
     while path[-1] != source:
-        p = parent[path[-1]]
+        p = int(parent[path[-1]])
         if p < 0:
             raise ValueError(f"vertex {target} unreachable from {source}")
         path.append(p)
@@ -172,16 +172,41 @@ def reconstruct_path(parent: list[int], source: int, target: int) -> list[int]:
     return path
 
 
-def all_pairs_shortest_paths(graph: WeightedGraph) -> tuple[np.ndarray, list[list[int]]]:
-    """Distance matrix and per-source parent arrays, via n Dijkstra runs."""
+_APSP_BLOCK_ELEMENTS = 1 << 16  # elements of each (sources, n) array of a block
+
+
+def all_pairs_shortest_paths(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, n)`` distance and parent matrices: row s is
+    ``shortest_paths_with_parents(graph, s)``, bit for bit.
+
+    Every source's Dijkstra runs in numpy lockstep, a block of sources at a
+    time.  Each round settles, per source, the unsettled vertex with the
+    least ``(distance, id)``, which is the order the heap pops them, and
+    relaxes its edges with the heap's own sum ``dist[s, u] + w[u, v]``.
+    """
     n = graph.vertex_count
-    dist = np.empty((n, n))
-    parents = []
-    for s in range(n):
-        d, p = shortest_paths_with_parents(graph, s)
-        dist[s, :] = d
-        parents.append(p)
-    return dist, parents
+    w = np.full((n, n), INF)
+    for u, v, wt in graph.edges:
+        w[u, v] = w[v, u] = wt
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    parent = np.full((n, n), -1)
+    per_block = max(1, _APSP_BLOCK_ELEMENTS // n)
+    for a in range(0, n, per_block):
+        d, p = dist[a:a + per_block], parent[a:a + per_block]
+        rows = np.arange(len(d))
+        key = d.copy()  # dist of unsettled vertices, inf once settled
+        # after n - 1 rounds the last vertex has no unsettled neighbour
+        for _ in range(n - 1):
+            u = key.argmin(axis=1)
+            du = key[rows, u]
+            key[rows, u] = INF
+            cand = du[:, None] + w[u]
+            better = cand < d  # never a settled vertex: its dist <= du <= cand
+            np.copyto(d, cand, where=better)
+            np.copyto(key, cand, where=better)
+            np.copyto(p, u[:, None], where=better)
+    return dist, parent
 
 
 @dataclass(frozen=True)

@@ -208,9 +208,12 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     chunks.  Every temporary a block builds holds at most
     ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the relaxation
     sums reuse two buffers of that size), so past the ``(2^t, n)`` tables
-    and the ``n x n`` metric, memory does not grow with t.  Ties resolve
-    as a scalar loop would: the first split in descending submask order
-    and the lowest relaxation vertex win.
+    and the ``n x n`` metric, memory does not grow with t.  The tables keep
+    12 bytes per entry: the cost and the relaxation's source vertex.  The
+    merge keeps only its minimum; reconstruction recomputes the split at
+    each vertex it visits (see ``_dw_split``).  Ties resolve as a scalar
+    loop would: the first split in descending submask order and the lowest
+    relaxation vertex win.
     """
     terms = instance.terminal_list
     if len(terms) > max_terminals:
@@ -234,9 +237,7 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
 
     dp = np.full((1 << t, n), np.inf)
     # grow_u[mask][v]: vertex the final metric relaxation came from
-    # split_sub[mask][v]: canonical half of the merge applied at that vertex
     grow_u = np.full((1 << t, n), -1, dtype=np.int32)
-    split_sub = np.zeros((1 << t, n), dtype=np.int32)
     for i, term in enumerate(others):
         dp[1 << i] = dist[term]
 
@@ -252,9 +253,8 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
         per_block = max(1, _DW_BLOCK_ELEMENTS // (max(1 << (k - 1), n) * n))
         for a in range(0, len(level), per_block):
             masks = level[a:a + per_block]
-            tmp, choice = _dw_merge(dp, masks, k, scratch)
+            tmp = _dw_merge(dp, masks, k, scratch)
             dp[masks], grow_u[masks] = _dw_relax(tmp, dist_t, scratch[0])
-            split_sub[masks] = choice
 
     edges: set[tuple[int, int, float]] = set()
 
@@ -272,7 +272,7 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
             continue
         u = int(grow_u[mask][v])
         add_path(u, v)
-        sub = int(split_sub[mask][u])
+        sub = _dw_split(dp, mask, u)
         stack.append((sub, u))
         stack.append((mask ^ sub, u))
 
@@ -285,56 +285,60 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
 
 
 def _dw_merge(dp: np.ndarray, masks: np.ndarray, k: int,
-              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              scratch: np.ndarray) -> np.ndarray:
     """Cheapest merge of two disjoint halves at each vertex, for a block of
-    popcount-k masks; returns the costs and the half holding the mask's
-    lowest bit (0 where no merge is finite).
+    popcount-k masks (inf where no merge is finite).
 
-    The 2^(k-1) - 1 halves of each mask are listed in descending order, the
-    order ``sub = (sub - 1) & mask`` walks them, so ``argmin``'s first
-    minimum and the strict ``<`` between chunks keep the first best split.
-    A chunk fixes the high bits of the other k - 1 mask bits and ranges
-    over the low ``m`` bits.
+    Only the minimum is kept; which split attains it is recomputed for the
+    few ``(mask, vertex)`` pairs a tree uses (``_dw_split``).  A chunk fixes
+    the high bits of the mask bits above its lowest and ranges over the
+    low ``m`` bits; it is gathered split-major, ``(splits, masks, n)``, so
+    its minimum is an elementwise fold over contiguous ``(masks, n)`` slabs.
     """
     c, n = len(masks), dp.shape[1]
     rest = masks.copy()
     low = rest & -rest
     rest ^= low
-    upper = np.empty((c, k - 1), dtype=np.int64)  # the other bits, lowest first
+    upper = np.empty((k - 1, c), dtype=np.int64)  # the other bits, lowest first
     for j in range(k - 1):
-        upper[:, j] = rest & -rest
-        rest ^= upper[:, j]
+        upper[j] = rest & -rest
+        rest ^= upper[j]
     m = min(k - 1, max(0, (_DW_BLOCK_ELEMENTS // (c * n)).bit_length() - 1))
-    low_bits = _subset_sums_descending(upper[:, :m])
-    high_bits = low[:, None] + _subset_sums_descending(upper[:, m:])
-    rows, vertices = np.arange(c)[:, None], np.arange(n)
+    low_bits = _subset_sums_descending(upper[:m])
+    high_bits = low + _subset_sums_descending(upper[m:])
     tmp = np.full((c, n), np.inf)
-    choice = np.zeros((c, n), dtype=np.int32)
-    for i in range(high_bits.shape[1]):
-        subs = high_bits[:, i:i + 1] + low_bits
+    for i in range(len(high_bits)):
+        subs = high_bits[i] + low_bits
         if i == 0:
-            subs = subs[:, 1:]  # all k bits: the mask itself
+            subs = subs[1:]  # all k bits: the mask itself
             if not subs.size:
                 continue
         # indices are in range; mode="clip" lets take fill `out` directly
         shape, size = subs.shape + (n,), subs.size * n
         cand = np.take(dp, subs, axis=0, mode="clip", out=scratch[0, :size].reshape(shape))
-        cand += np.take(dp, masks[:, None] ^ subs, axis=0, mode="clip",
+        cand += np.take(dp, masks ^ subs, axis=0, mode="clip",
                         out=scratch[1, :size].reshape(shape))
-        at = cand.argmin(axis=1)
-        best = cand[rows, at, vertices]
-        better = best < tmp
-        tmp[better] = best[better]
-        choice[better] = subs[rows, at][better]
-    return tmp, choice
+        np.minimum(tmp, cand.min(axis=0), out=tmp)
+    return tmp
+
+
+def _dw_split(dp: np.ndarray, mask: int, u: int) -> int:
+    """The half of ``mask`` holding its lowest bit that the merge at vertex
+    ``u`` took: the first cheapest ``dp[sub][u] + dp[mask ^ sub][u]`` in
+    descending submask order, the sum and order ``_dw_merge`` used."""
+    low = mask & -mask
+    rest = mask ^ low
+    bits = [[1 << i] for i in range(rest.bit_length()) if rest >> i & 1]
+    subs = low + _subset_sums_descending(np.array(bits, dtype=np.int64))[1:, 0]
+    return int(subs[(dp[subs, u] + dp[mask ^ subs, u]).argmin()])
 
 
 def _subset_sums_descending(bits: np.ndarray) -> np.ndarray:
-    """(c, j) distinct single-bit columns -> (c, 2^j) sums of every subset of
-    each row's bits, in descending order."""
-    sums = np.zeros((len(bits), 1), dtype=np.int64)
-    for j in range(bits.shape[1]):
-        sums = np.concatenate([sums + bits[:, j:j + 1], sums], axis=1)
+    """(j, c) distinct single-bit rows -> (2^j, c) sums of every subset of
+    each column's bits, in descending order."""
+    sums = np.zeros((1, bits.shape[1]), dtype=np.int64)
+    for b in bits:
+        sums = np.concatenate([sums + b, sums])
     return sums
 
 
@@ -352,5 +356,6 @@ def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray,
                        out=scratch[:c * part.size].reshape(c, *part.shape))
         at = relax.argmin(axis=2)
         grow[:, b:b + chunk] = at
-        cost[:, b:b + chunk] = np.take_along_axis(relax, at[..., None], axis=2)[..., 0]
+        at += np.arange(0, relax.size, n).reshape(at.shape)  # flat indices
+        cost[:, b:b + chunk] = np.take(relax, at)
     return cost, grow

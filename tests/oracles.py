@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from steinerkit.graph import StpInstance, all_pairs_shortest_paths, reconstruct_path
+from steinerkit.graph import StpInstance, reconstruct_path, shortest_paths_with_parents
 from steinerkit.qnet import NetInput, QNetParams, forward
 from steinerkit.solvers import SteinerTree, prune, verify_tree
 
@@ -65,13 +65,18 @@ def submask_loop_dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     """Dreyfus-Wagner as a loop over masks and their submasks, one vertex
     row at a time.  Ties keep the first strictly better split in
     ``sub = (sub - 1) & mask`` order and the lowest relaxation vertex, so
-    ``solvers.dreyfus_wagner`` must return exactly this tree."""
+    ``solvers.dreyfus_wagner`` must return exactly this tree.  The metric
+    comes from one heap Dijkstra per source and each split is stored as it
+    is found, so neither the lockstep all-pairs Dijkstra nor the solver's
+    split recovery is reused here."""
     terms = instance.terminal_list
     if len(terms) == 1:
         return verify_tree(instance, ())
     g = instance.graph
     n = g.vertex_count
-    dist, parents = all_pairs_shortest_paths(g)
+    runs = [shortest_paths_with_parents(g, s) for s in range(n)]
+    dist = np.array([d for d, _ in runs])
+    parents = [p for _, p in runs]
     root, others = terms[0], terms[1:]
     full = (1 << len(others)) - 1
     dp = np.full((full + 1, n), np.inf)

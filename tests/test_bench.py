@@ -185,6 +185,27 @@ class TestRunBench:
         with pytest.raises(ValueError, match="exact-solver cap"):
             run_bench([inst], ("agent", "exact"), reference="exact")
 
+    @pytest.mark.parametrize("methods, reference", [(("classic", "exact"), "classic"),
+                                                    (("classic",), "exact")])
+    def test_exact_cap_checked_before_any_solver_runs(self, monkeypatch,
+                                                      methods, reference):
+        calls = []
+        for solver in ("kmb", "dreyfus_wagner"):
+            monkeypatch.setattr(bench, solver,
+                                lambda instance, _s=solver: calls.append(_s))
+        big = [generate(GeneratorConfig(model="er", n=n, terminal_ratio=0.9,
+                                        weight_range=(1.0, 4.0), seed=0))
+               for n in (20, 18)]
+        insts = [instances(1)[0], big[0], instances(1, seed0=5)[0], big[1]]
+        with pytest.raises(ValueError, match="exact-solver cap of 14") as exc:
+            run_bench(insts, methods, reference=reference)
+        message = str(exc.value)
+        for inst in big:
+            assert f"{inst.id} ({len(inst.terminals)} terminals)" in message
+        for inst in insts[::2]:
+            assert inst.id not in message
+        assert calls == []
+
     def test_parallel_matches_serial(self):
         insts = instances(3, n=8)
         params = init_params(2, 2, seed=1)

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
+import steinerkit.graph as graph_module
 from steinerkit.graph import (
     StpInstance,
     WeightedGraph,
@@ -145,6 +149,50 @@ class TestShortestPaths:
         _, parent = shortest_paths_with_parents(g, 0)
         with pytest.raises(ValueError, match="unreachable"):
             reconstruct_path(parent, 0, 2)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=12):
+    """Graphs of 1..max_n vertices, often with isolated and unreachable
+    vertices; weights include 0.1/0.2/0.3, whose sums round
+    (0.1 + 0.2 != 0.3), and arbitrary floats."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weight = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.0]) | st.floats(1e-3, 1e3)
+    return WeightedGraph(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+class TestAllPairsShortestPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=sparse_graphs())
+    @example(graph=WeightedGraph(1, []))
+    @example(graph=WeightedGraph(4, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)]))
+    @example(graph=WeightedGraph(5, [(0, 1, 0.1), (1, 2, 0.2), (0, 3, 0.3), (3, 2, 1e-3)]))
+    def test_matches_per_source_dijkstra(self, graph):
+        n = graph.vertex_count
+        dist, parent = all_pairs_shortest_paths(graph)
+        assert dist.shape == parent.shape == (n, n)
+        for s in range(n):
+            d, p = shortest_paths_with_parents(graph, s)
+            assert np.array_equal(dist[s], d)
+            assert np.array_equal(parent[s], p)
+
+    def test_source_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        graphs = [random_connected_graph(rng, n, n) for n in (5, 17, 40)]
+        whole = [all_pairs_shortest_paths(g) for g in graphs]
+        monkeypatch.setattr(graph_module, "_APSP_BLOCK_ELEMENTS", 30)
+        for g, (dist, parent) in zip(graphs, whole):
+            d, p = all_pairs_shortest_paths(g)
+            assert np.array_equal(d, dist) and np.array_equal(p, parent)
+
+    def test_parent_rows_reconstruct_int_paths(self):
+        g = WeightedGraph(4, DIAMOND)
+        _, parent = all_pairs_shortest_paths(g)
+        path = reconstruct_path(parent[0], 0, 3)
+        assert path == [0, 1, 2, 3]
+        assert all(type(v) is int for v in path)
 
 
 class TestStpInstance:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_min_cover, brute_force_sat, brute_force_x3c
 
 from steinerkit.reductions import (
@@ -298,3 +302,62 @@ class TestMetadata:
     def test_x3c_metadata(self):
         red = reduce_x3c(3, [(0, 1, 2)])
         assert red.metadata()["source"] == {"elements": 3, "triples": 1}
+
+
+@st.composite
+def sat_sources(draw):
+    """1..3 variables, 1..4 non-empty clauses (repeats and x or not-x allowed)."""
+    n_vars = draw(st.integers(1, 3))
+    literal = st.integers(1, n_vars) | st.integers(-n_vars, -1)
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3),
+                            min_size=1, max_size=4))
+    return n_vars, clauses
+
+
+@st.composite
+def mvc_sources(draw):
+    """2..5 vertices, 1..6 distinct edges, any budget 0..n."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    return n, edges, draw(st.integers(0, n))
+
+
+@st.composite
+def x3c_sources(draw):
+    """3q elements for q = 1..3 and up to 6 triples, repeats allowed."""
+    n_elements = 3 * draw(st.integers(1, 3))
+    triple = st.lists(st.integers(0, n_elements - 1), min_size=3, max_size=3, unique=True)
+    return n_elements, draw(st.lists(triple, max_size=6))
+
+
+def assert_verdict_matches(red, source_is_yes: bool) -> None:
+    """The exact tree meets the YES-bound iff brute force says YES, and a
+    YES tree decodes to a witness the source accepts."""
+    tree = dreyfus_wagner(red.instance)
+    assert (tree.cost <= red.bound + 1e-9) == source_is_yes
+    if source_is_yes:
+        assert red.verify_witness(red.decode_witness(tree))
+
+
+class TestYesBoundProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(source=sat_sources())
+    def test_sat(self, source):
+        n_vars, clauses = source
+        assert_verdict_matches(reduce_sat(n_vars, clauses),
+                               brute_force_sat(n_vars, clauses) is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=mvc_sources(), complete=st.booleans())
+    def test_mvc(self, source, complete):
+        n, edges, k = source
+        assert_verdict_matches(reduce_mvc(n, edges, k, complete=complete),
+                               brute_force_min_cover(n, edges, k) is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=x3c_sources())
+    def test_x3c(self, source):
+        n_elements, triples = source
+        assert_verdict_matches(reduce_x3c(n_elements, triples),
+                               brute_force_x3c(n_elements, triples) is not None)

@@ -12,6 +12,8 @@ from oracles import (
     submask_loop_dreyfus_wagner,
 )
 
+import steinerkit.graph as graph_module
+import steinerkit.solvers as solvers_module
 from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.reductions import reduce_mvc, reduce_sat, reduce_x3c
@@ -181,6 +183,19 @@ class TestDreyfusWagner:
             dreyfus_wagner(inst)
         dreyfus_wagner(inst, max_terminals=16)
 
+    def test_apsp_runs_no_per_source_dijkstra(self, monkeypatch):
+        calls = []
+        real = graph_module.shortest_paths_with_parents
+
+        def counting(graph, source):
+            calls.append(source)
+            return real(graph, source)
+
+        monkeypatch.setattr(graph_module, "shortest_paths_with_parents", counting)
+        monkeypatch.setattr(solvers_module, "shortest_paths_with_parents", counting)
+        dreyfus_wagner(with_terminal_count("er:n=100,w=1:5", 3, 6))
+        assert calls == []
+
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         inst = random_instance(rng, n_lo=10, n_hi=10, t_max=5)
@@ -280,6 +295,26 @@ class TestDreyfusWagnerProperties:
     def test_same_tree_as_the_submask_loop(self, inst):
         # weights 1..2 tie many splits and relaxations
         assert dreyfus_wagner(inst) == submask_loop_dreyfus_wagner(inst)
+
+
+class TestVerifyTreeRejectsMutations:
+    """A solver's tree passes; the same tree with one edge dropped,
+    duplicated or re-weighted does not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=connected_instances(max_n=12, max_terminals=6), data=st.data())
+    def test_mutated_tree_rejected(self, inst, data):
+        edges = list(dreyfus_wagner(inst).edges)
+        assert verify_tree(inst, edges).edges == tuple(edges)
+        i = data.draw(st.integers(0, len(edges) - 1))
+        u, v, w = edges[i]
+        new_w = data.draw(st.sampled_from([w + 1, w / 2, np.nextafter(w, np.inf)]))
+        mutants = [edges[:i] + edges[i + 1:],
+                   edges + [edges[i]],
+                   edges[:i] + [(u, v, new_w)] + edges[i + 1:]]
+        for mutant in mutants:
+            with pytest.raises(TreeVerificationError):
+                verify_tree(inst, mutant)
 
 
 def test_steiner_tree_repr():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.steinlib import (
@@ -151,3 +155,30 @@ def test_edge_list_text_is_one_based_and_sorted():
     text = edge_list_text([(2, 3, 1.0), (0, 1, 2.5)])
     assert text == "1 2 2.5\n3 4 1\n"
     assert edge_list_text([]) == ""
+
+
+@st.composite
+def stp_instances(draw):
+    """Instances with float or integer weights, isolated vertices, and
+    optional name, optimum and bound."""
+    n = draw(st.integers(1, 15))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weight = st.integers(1, 10**6).map(float) | st.floats(1e-6, 1e9)
+    graph = WeightedGraph(n, [(u, v, draw(weight)) for u, v in chosen])
+    component = sorted(graph.component_of(draw(st.integers(0, n - 1))))
+    terminals = draw(st.sets(st.sampled_from(component), min_size=1))
+    name = draw(st.none() | st.from_regex(r"[a-z][a-z0-9_.-]{0,11}", fullmatch=True)
+                .filter(lambda s: s not in KNOWN_OPTIMA))
+    value = st.none() | st.integers(0, 10**6).map(float) | st.floats(0, 1e9)
+    return StpInstance(graph=graph, terminals=frozenset(terminals),
+                       known_opt=draw(value), bound=draw(value), name=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=stp_instances())
+def test_write_parse_round_trips(inst):
+    text = write_steinlib(inst)
+    again = parse_steinlib(text)
+    assert again == inst
+    assert write_steinlib(again) == text
