@@ -13,10 +13,10 @@ from steinerkit import (
     GeneratorConfig,
     StpInstance,
     WeightedGraph,
+    cost_ratio,
     dreyfus_wagner,
     generate,
     kmb,
-    metric_gain,
     parse_steinlib,
     write_steinlib,
 )
@@ -50,7 +50,7 @@ for model in ("rr", "er", "ws"):
     e = dreyfus_wagner(inst).cost
     print(f"  {inst.name}: |V|={inst.graph.vertex_count} "
           f"|E|={inst.graph.edge_count} |T|={len(inst.terminals)} "
-          f"classic {c:g} exact {e:g} gain {metric_gain(e, c):.3f}")
+          f"classic {c:g} exact {e:g} gain {cost_ratio(e, c):.3f}")
 
 # The 2-approximation guarantee: classic never exceeds twice the optimum.
 for seed in range(5):

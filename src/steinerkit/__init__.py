@@ -4,9 +4,7 @@ greedy solver with DDQN training, NP-hard reductions, and benchmarks."""
 from .bench import (
     BenchReport,
     BenchRow,
-    metric_b,
-    metric_gain,
-    metric_r,
+    cost_ratio,
     run_bench,
     solve_with_method,
 )
@@ -60,7 +58,7 @@ from .steinlib import parse_steinlib, parse_steinlib_file, write_steinlib
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport", "BenchRow", "metric_b", "metric_gain", "metric_r",
+    "BenchReport", "BenchRow", "cost_ratio",
     "run_bench", "solve_with_method",
     "feature_scale", "knn_features", "terminal_distance_matrix",
     "GeneratorConfig", "generate", "parse_generator_spec",

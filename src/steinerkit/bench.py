@@ -1,9 +1,10 @@
 """Benchmark harness: ratio metrics, per-instance rows, aggregate tables.
 
-Three ratios, one per reference: Gain divides by the classic baseline, R
-by the published/known optimum, B by a reduction's YES-bound.  Rows carry
-wall times for orientation only; nothing downstream keys on them, and
-emission can zero them out so repeated runs byte-match.
+Three ratios, one per reference, all computed by ``cost_ratio``: Gain
+divides by the classic baseline, R by the published/known optimum, B by a
+reduction's YES-bound.  Rows carry wall times for orientation only;
+nothing downstream keys on them, and emission can zero them out so
+repeated runs byte-match.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,25 +25,17 @@ METHODS = ("classic", "exact", "agent", "active")
 REFERENCES = ("classic", "exact", "opt", "bound")
 
 
-def metric_gain(solver_cost: float, classic_cost: float) -> float:
-    """Cost over the classic baseline's cost; < 1 beats the baseline."""
-    if classic_cost <= 0:
-        raise ValueError("classic cost must be positive")
-    return solver_cost / classic_cost
-
-
-def metric_r(solver_cost: float, opt: float) -> float:
-    """Cost over the known optimum; >= 1 always, 1 means optimal."""
-    if opt <= 0:
-        raise ValueError("optimum must be positive")
-    return solver_cost / opt
-
-
-def metric_b(solver_cost: float, bound: float) -> float:
-    """Cost over a reduction bound; <= 1 certifies a YES-instance."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return solver_cost / bound
+def cost_ratio(cost: float, reference: float) -> float:
+    """Cost over a reference cost: Gain against the classic baseline (< 1
+    beats it), R against a known optimum (1 means optimal), B against a
+    reduction's YES-bound (<= 1 certifies YES).  Every ratio the package
+    reports comes from here.  A reference of 0, which every solver reaches
+    on a single-terminal instance, leaves the ratio undefined, so 0/0 is an
+    error too."""
+    if not reference > 0:
+        raise ValueError(f"reference cost {reference:g} is not positive, "
+                         f"so the cost ratio is undefined")
+    return cost / reference
 
 
 @dataclass(frozen=True)
@@ -162,9 +154,13 @@ def _bench_one(args) -> list[BenchRow]:
     rows = []
     for method in methods:
         tree, wall = runs[method] if method in runs else solve(method)
+        try:
+            ratio = cost_ratio(tree.cost, ref)
+        except ValueError as exc:
+            raise ValueError(f"instance {instance.id}: {exc}") from None
         rows.append(BenchRow(instance=instance.id, method=method,
                              cost=tree.cost, reference=ref,
-                             ratio=tree.cost / ref, wall_time=wall))
+                             ratio=ratio, wall_time=wall))
     return rows
 
 
@@ -192,6 +188,8 @@ def run_bench(instances, methods, reference: str = "classic",
             for i, inst in enumerate(instances)]
     rows: list[BenchRow] = []
     if workers > 1:
+        # imported here: it costs every `import steinerkit` otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_bench_one, jobs):
                 rows.extend(chunk)

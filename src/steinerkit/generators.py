@@ -194,11 +194,29 @@ def _is_connected(n: int, pairs) -> bool:
     return count == n
 
 
+def _weight_range(val: str) -> tuple[int, int]:
+    lo, _, hi = val.partition(":")
+    return int(lo), int(hi or lo)
+
+
+# spec key -> (GeneratorConfig field, value parser)
+_SPEC_KEYS = {
+    "n": ("n", int),
+    "m": ("terminal_ratio", float),
+    "w": ("weight_range", _weight_range),
+    "d": ("d", int),
+    "p": ("p", float),
+    "k": ("ws_k", int),
+    "beta": ("ws_beta", float),
+}
+
+
 def parse_generator_spec(spec: str, seed: int = 0) -> GeneratorConfig:
     """Parse a compact spec string like ``rr:n=30,m=0.2,d=4,w=1:5``.
 
     Keys: n (vertices), m (terminal ratio), w (weight range lo:hi),
-    d (RR degree), p (ER probability), k/beta (WS parameters).
+    d (RR degree), p (ER probability), k/beta (WS parameters).  A value
+    that does not parse raises a ``ValueError`` naming its key and the spec.
     """
     model, _, rest = spec.partition(":")
     model = model.strip().lower()
@@ -209,22 +227,12 @@ def parse_generator_spec(spec: str, seed: int = 0) -> GeneratorConfig:
                 continue
             key, _, val = item.partition("=")
             key = key.strip().lower()
-            val = val.strip()
-            if key == "n":
-                kwargs["n"] = int(val)
-            elif key == "m":
-                kwargs["terminal_ratio"] = float(val)
-            elif key == "w":
-                lo, _, hi = val.partition(":")
-                kwargs["weight_range"] = (int(lo), int(hi or lo))
-            elif key == "d":
-                kwargs["d"] = int(val)
-            elif key == "p":
-                kwargs["p"] = float(val)
-            elif key == "k":
-                kwargs["ws_k"] = int(val)
-            elif key == "beta":
-                kwargs["ws_beta"] = float(val)
-            else:
+            if key not in _SPEC_KEYS:
                 raise ValueError(f"unknown generator key {key!r} in {spec!r}")
+            field, parse = _SPEC_KEYS[key]
+            try:
+                kwargs[field] = parse(val.strip())
+            except ValueError:
+                raise ValueError(f"generator key {key!r} has an invalid value "
+                                 f"{val.strip()!r} in {spec!r}") from None
     return GeneratorConfig(**kwargs)

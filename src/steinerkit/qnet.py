@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-PARAM_SHAPES = ("theta1", "theta2", "w1", "b1", "w2", "b2", "theta3", "theta4", "theta5")
 CHECKPOINT_FORMAT = "qnet-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -53,27 +52,25 @@ class QNetParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _param_table(p: int, k: int) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Shape and init fan-in of every tensor for embedding width p and
+    feature width k, in ``QNetParams`` field order, which is the init draw
+    order."""
+    return {"theta1": ((p, 2), 2), "theta2": ((p, k), k), "w1": ((p, 2 * p), 2 * p),
+            "b1": ((p,), 2 * p), "w2": ((p, p), p), "b2": ((p,), p),
+            "theta3": ((2 * p,), 2 * p), "theta4": ((p, p), p), "theta5": ((p, p), p)}
+
+
 def init_params(p_dim: int, k: int, seed: int) -> QNetParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, fixed tensor order."""
     if p_dim < 1 or k < 1:
         raise ValueError("p_dim and k must be positive")
     rng = np.random.default_rng(np.random.PCG64(seed))
-
-    def u(shape, fan_in):
+    arrays = {}
+    for name, (shape, fan_in) in _param_table(p_dim, k).items():
         s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    return QNetParams(
-        theta1=u((p_dim, 2), 2),
-        theta2=u((p_dim, k), k),
-        w1=u((p_dim, 2 * p_dim), 2 * p_dim),
-        b1=u((p_dim,), 2 * p_dim),
-        w2=u((p_dim, p_dim), p_dim),
-        b2=u((p_dim,), p_dim),
-        theta3=u((2 * p_dim,), 2 * p_dim),
-        theta4=u((p_dim, p_dim), p_dim),
-        theta5=u((p_dim, p_dim), p_dim),
-    )
+        arrays[name] = rng.uniform(-s, s, size=shape)
+    return QNetParams(**arrays)
 
 
 @dataclass(frozen=True)
@@ -245,13 +242,6 @@ def save_checkpoint(params: QNetParams, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _param_shapes(p: int, k: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor for embedding width p and feature width k."""
-    return {"theta1": (p, 2), "theta2": (p, k), "w1": (p, 2 * p), "b1": (p,),
-            "w2": (p, p), "b2": (p,), "theta3": (2 * p,), "theta4": (p, p),
-            "theta5": (p, p)}
-
-
 def load_checkpoint(path) -> tuple[QNetParams, dict]:
     """Read a checkpoint; every tensor must be present, finite and shaped
     as the ``p_dim``/``k`` header says, else ValueError names the tensor."""
@@ -266,15 +256,14 @@ def load_checkpoint(path) -> tuple[QNetParams, dict]:
         raise ValueError(f"checkpoint header needs positive integers p_dim and k, "
                          f"got {p!r} and {k!r}")
     raw = payload.get("params", {})
-    shapes = _param_shapes(p, k)
     arrays = {}
-    for name in PARAM_SHAPES:
+    for name, (shape, _) in _param_table(p, k).items():
         if name not in raw:
             raise ValueError(f"checkpoint is missing tensor {name}")
         arr = np.asarray(raw[name], dtype=float)
-        if arr.shape != shapes[name]:
+        if arr.shape != shape:
             raise ValueError(f"checkpoint header (p_dim={p}, k={k}) disagrees with "
-                             f"tensor {name}: shape {arr.shape}, expected {shapes[name]}")
+                             f"tensor {name}: shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint tensor {name} holds non-finite values")
         arrays[name] = arr

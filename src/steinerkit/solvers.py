@@ -22,8 +22,9 @@ from .graph import (
 )
 
 DW_TERMINAL_CAP = 14
-# Element budget of each temporary array one block of the Dreyfus-Wagner
-# subset DP builds (split indices, merge candidates, relaxation sums).
+# Element budget of each temporary array one merge rectangle or relaxation
+# block of the Dreyfus-Wagner subset DP builds (merge candidates,
+# relaxation sums).
 _DW_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -203,17 +204,17 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     exponential only in the terminal count, hence the cap.
 
     Masks are solved one popcount level at a time, since a mask depends
-    only on smaller ones, in blocks of masks that numpy merges and relaxes
-    together; a mask with too many splits for one block is merged in
-    chunks.  Every temporary a block builds holds at most
-    ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the relaxation
-    sums reuse two buffers of that size), so past the ``(2^t, n)`` tables
-    and the ``n x n`` metric, memory does not grow with t.  The tables keep
-    12 bytes per entry: the cost and the relaxation's source vertex.  The
-    merge keeps only its minimum; reconstruction recomputes the split at
-    each vertex it visits (see ``_dw_split``).  Ties resolve as a scalar
-    loop would: the first split in descending submask order and the lowest
-    relaxation vertex win.
+    only on smaller ones.  Each level builds one table of its splits
+    (``_dw_halves``), merges the whole level in rectangles of that table,
+    then relaxes it in blocks of masks.  Every rectangle and block holds at
+    most ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the
+    relaxation sums reuse two buffers of that size); past the ``(2^t, n)``
+    tables and the ``n x n`` metric, the largest arrays are one level's
+    split table and merge result.  The tables keep 12 bytes per entry: the
+    cost and the relaxation's source vertex.  The merge keeps only its
+    minimum; reconstruction recomputes the split at each vertex it visits
+    (see ``_dw_split``).  Ties resolve as a scalar loop would: the first
+    split in descending submask order and the lowest relaxation vertex win.
     """
     terms = instance.terminal_list
     if len(terms) > max_terminals:
@@ -242,19 +243,18 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
         dp[1 << i] = dist[term]
 
     dist_t = np.ascontiguousarray(dist.T)
-    # gather and relaxation buffers, reused so blocks fault in no fresh
-    # pages; a block needs at least one n-row
+    # gather and relaxation buffers, reused so rectangles and blocks fault
+    # in no fresh pages; each needs at least one n-row
     scratch = np.empty((2, max(_DW_BLOCK_ELEMENTS, n)))
     every_mask = np.arange(1 << t)
     popcount = sum((every_mask >> i) & 1 for i in range(t))
+    per_relax = max(1, _DW_BLOCK_ELEMENTS // (n * n))
     for k in range(2, t + 1):
         level = np.flatnonzero(popcount == k)
-        # a block's splits and its relaxation each fit the budget
-        per_block = max(1, _DW_BLOCK_ELEMENTS // (max(1 << (k - 1), n) * n))
-        for a in range(0, len(level), per_block):
-            masks = level[a:a + per_block]
-            tmp = _dw_merge(dp, masks, k, scratch)
-            dp[masks], grow_u[masks] = _dw_relax(tmp, dist_t, scratch[0])
+        tmp = _dw_merge(dp, level, _dw_halves(level, k), scratch)
+        for a in range(0, len(level), per_relax):
+            masks = level[a:a + per_relax]
+            dp[masks], grow_u[masks] = _dw_relax(tmp[a:a + per_relax], dist_t, scratch[0])
 
     edges: set[tuple[int, int, float]] = set()
 
@@ -284,62 +284,60 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     return tree
 
 
-def _dw_merge(dp: np.ndarray, masks: np.ndarray, k: int,
+def _dw_merge(dp: np.ndarray, masks: np.ndarray, halves: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
-    """Cheapest merge of two disjoint halves at each vertex, for a block of
-    popcount-k masks (inf where no merge is finite).
+    """Cheapest merge of two disjoint halves at each vertex, for one level
+    of masks with their ``_dw_halves`` table (inf where no merge is finite).
 
-    Only the minimum is kept; which split attains it is recomputed for the
-    few ``(mask, vertex)`` pairs a tree uses (``_dw_split``).  A chunk fixes
-    the high bits of the mask bits above its lowest and ranges over the
-    low ``m`` bits; it is gathered split-major, ``(splits, masks, n)``, so
-    its minimum is an elementwise fold over contiguous ``(masks, n)`` slabs.
+    Only the minimum is kept, so the order of the splits does not matter;
+    which split attains it is recomputed for the few ``(mask, vertex)``
+    pairs a tree uses (``_dw_split``).  The table is gathered in rectangles
+    of split rows by mask columns, split-major, ``(splits, masks, n)``, so
+    each minimum is an elementwise fold over contiguous ``(masks, n)`` slabs.
     """
-    c, n = len(masks), dp.shape[1]
-    rest = masks.copy()
-    low = rest & -rest
-    rest ^= low
-    upper = np.empty((k - 1, c), dtype=np.int64)  # the other bits, lowest first
-    for j in range(k - 1):
-        upper[j] = rest & -rest
-        rest ^= upper[j]
-    m = min(k - 1, max(0, (_DW_BLOCK_ELEMENTS // (c * n)).bit_length() - 1))
-    low_bits = _subset_sums_descending(upper[:m])
-    high_bits = low + _subset_sums_descending(upper[m:])
-    tmp = np.full((c, n), np.inf)
-    for i in range(len(high_bits)):
-        subs = high_bits[i] + low_bits
-        if i == 0:
-            subs = subs[1:]  # all k bits: the mask itself
-            if not subs.size:
-                continue
-        # indices are in range; mode="clip" lets take fill `out` directly
-        shape, size = subs.shape + (n,), subs.size * n
-        cand = np.take(dp, subs, axis=0, mode="clip", out=scratch[0, :size].reshape(shape))
-        cand += np.take(dp, masks ^ subs, axis=0, mode="clip",
-                        out=scratch[1, :size].reshape(shape))
-        np.minimum(tmp, cand.min(axis=0), out=tmp)
+    (s, c), n = halves.shape, dp.shape[1]
+    rest = masks ^ halves
+    rows = min(s, max(1, _DW_BLOCK_ELEMENTS // n))
+    cols = min(c, max(1, _DW_BLOCK_ELEMENTS // (rows * n)))
+    tmp = np.empty((c, n))
+    for b in range(0, c, cols):
+        best = tmp[b:b + cols]
+        for a in range(0, s, rows):
+            subs = halves[a:a + rows, b:b + cols]
+            # indices are in range; mode="clip" lets take fill `out` directly
+            shape, size = subs.shape + (n,), subs.size * n
+            cand = np.take(dp, subs, axis=0, mode="clip", out=scratch[0, :size].reshape(shape))
+            cand += np.take(dp, rest[a:a + rows, b:b + cols], axis=0, mode="clip",
+                            out=scratch[1, :size].reshape(shape))
+            if a == 0:
+                cand.min(axis=0, out=best)
+            else:
+                np.minimum(best, cand.min(axis=0), out=best)
     return tmp
 
 
 def _dw_split(dp: np.ndarray, mask: int, u: int) -> int:
     """The half of ``mask`` holding its lowest bit that the merge at vertex
     ``u`` took: the first cheapest ``dp[sub][u] + dp[mask ^ sub][u]`` in
-    descending submask order, the sum and order ``_dw_merge`` used."""
-    low = mask & -mask
-    rest = mask ^ low
-    bits = [[1 << i] for i in range(rest.bit_length()) if rest >> i & 1]
-    subs = low + _subset_sums_descending(np.array(bits, dtype=np.int64))[1:, 0]
+    descending submask order, the order a scalar submask loop visits."""
+    subs = _dw_halves(np.array([mask]), mask.bit_count())[::-1, 0]
     return int(subs[(dp[subs, u] + dp[mask ^ subs, u]).argmin()])
 
 
-def _subset_sums_descending(bits: np.ndarray) -> np.ndarray:
-    """(j, c) distinct single-bit rows -> (2^j, c) sums of every subset of
-    each column's bits, in descending order."""
-    sums = np.zeros((1, bits.shape[1]), dtype=np.int64)
-    for b in bits:
-        sums = np.concatenate([sums + b, sums])
-    return sums
+def _dw_halves(masks: np.ndarray, k: int) -> np.ndarray:
+    """``(2^(k-1) - 1, len(masks))`` table of the halves of each popcount-k
+    mask (a column) that hold its lowest bit, the mask itself excluded, in
+    ascending order.  Row ``i`` adds to the lowest bit the mask's other
+    bits picked by the binary digits of ``i``, built by doubling."""
+    halves = np.empty((1 << (k - 1), len(masks)), dtype=np.int64)
+    rest = masks.copy()
+    halves[0] = rest & -rest
+    rest ^= halves[0]
+    for j in range(k - 1):
+        bit = rest & -rest
+        rest ^= bit
+        np.add(halves[:1 << j], bit, out=halves[1 << j:2 << j])
+    return halves[:-1]  # the last row holds every bit: the mask itself
 
 
 def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray,

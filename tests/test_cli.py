@@ -167,6 +167,18 @@ class TestBench:
         payload = json.loads((tmp_path / "one.json").read_text())
         assert payload["rows"][0]["ratio"] == 1.0
 
+    def test_single_terminal_file_is_a_named_error(self, tmp_path, capsys):
+        # every solver costs 0 there, so the ratio against classic is 0/0
+        path = tmp_path / "one.stp"
+        write_steinlib_file(StpInstance(graph=DIAMOND.graph, terminals=frozenset({2}),
+                                        name="one"), path)
+        rc = main(["bench", str(path), "--methods", "classic",
+                   "--out", str(tmp_path / "one")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance one: reference cost 0 is not positive")
+        assert not (tmp_path / "one.json").exists()
+
     def test_agent_requires_checkpoint(self, capsys):
         rc = main(["bench", GEN_SPEC, "--methods", "agent", "--trials", "1"])
         assert rc == 2

@@ -151,6 +151,16 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="unknown generator key"):
             parse_generator_spec("rr:n=10,zzz=3")
 
+    @pytest.mark.parametrize("spec, key", [("rr:n", "n"), ("rr:n=x", "n"),
+                                           ("rr:w=a:3", "w"), ("rr:w=1:b", "w"),
+                                           ("er:n=20,p=high", "p")])
+    def test_bad_value_names_key_and_spec(self, spec, key):
+        with pytest.raises(ValueError) as info:
+            parse_generator_spec(spec)
+        message = str(info.value)
+        assert f"generator key {key!r}" in message and repr(spec) in message
+        assert "invalid literal" not in message
+
 
 def test_weight_distribution_uniform():
     # pooled edge weights over many seeds should be uniform on {1..5}

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -259,10 +260,10 @@ def test_dreyfus_wagner_golden_digest():
 
 
 @st.composite
-def connected_instances(draw, max_n, max_terminals, max_weight=9):
+def connected_instances(draw, max_n, max_terminals, max_weight=9, min_terminals=2):
     """Connected graph (a random spanning tree plus extra edges) with
-    integer weights and 2..max_terminals terminals."""
-    n = draw(st.integers(2, max_n))
+    integer weights and min_terminals..max_terminals terminals."""
+    n = draw(st.integers(min_terminals, max_n))
     weight = st.integers(1, max_weight)
     weights = {}
     for v in range(1, n):
@@ -270,7 +271,7 @@ def connected_instances(draw, max_n, max_terminals, max_weight=9):
     pairs = list(itertools.combinations(range(n), 2))
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)):
         weights.setdefault(pair, draw(weight))
-    terminals = draw(st.sets(st.integers(0, n - 1), min_size=2,
+    terminals = draw(st.sets(st.integers(0, n - 1), min_size=min_terminals,
                              max_size=min(n, max_terminals)))
     graph = WeightedGraph(n, [(u, v, w) for (u, v), w in weights.items()])
     return StpInstance(graph=graph, terminals=frozenset(terminals))
@@ -295,6 +296,31 @@ class TestDreyfusWagnerProperties:
     def test_same_tree_as_the_submask_loop(self, inst):
         # weights 1..2 tie many splits and relaxations
         assert dreyfus_wagner(inst) == submask_loop_dreyfus_wagner(inst)
+
+    @settings(max_examples=15, deadline=None)
+    @given(inst=connected_instances(max_n=20, max_terminals=10, max_weight=2,
+                                    min_terminals=10))
+    def test_same_tree_as_the_submask_loop_at_ten_terminals(self, inst):
+        # levels with up to 255 splits per mask; a tiny element budget also
+        # cuts every level into many merge rectangles and relaxation blocks
+        reference = submask_loop_dreyfus_wagner(inst)
+        assert dreyfus_wagner(inst) == reference
+        with mock.patch.object(solvers_module, "_DW_BLOCK_ELEMENTS", 97):
+            assert dreyfus_wagner(inst) == reference
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_split_table_holds_every_half_with_the_lowest_bit(t):
+    masks = np.arange(1 << t)
+    popcount = np.array([bin(m).count("1") for m in masks])
+    for k in range(2, t + 1):
+        level = masks[popcount == k]
+        halves = solvers_module._dw_halves(level, k)
+        assert halves.shape == ((1 << (k - 1)) - 1, len(level))
+        for col, mask in zip(halves.T, level):
+            low = mask & -mask
+            expected = [sub for sub in range(1, mask) if sub & mask == sub and sub & low]
+            assert list(col) == expected  # ascending, so _dw_split reverses it
 
 
 class TestVerifyTreeRejectsMutations:
