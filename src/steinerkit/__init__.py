@@ -14,7 +14,6 @@ from .graph import (
     StpInstance,
     WeightedGraph,
     all_pairs_shortest_paths,
-    shortest_paths,
 )
 from .qnet import (
     NetInput,
@@ -63,7 +62,6 @@ __all__ = [
     "feature_scale", "knn_features", "terminal_distance_matrix",
     "GeneratorConfig", "generate", "parse_generator_spec",
     "StpInstance", "WeightedGraph", "all_pairs_shortest_paths",
-    "shortest_paths",
     "NetInput", "QNetParams", "init_params", "load_checkpoint",
     "q_values", "save_checkpoint",
     "ReductionOutput", "parse_dimacs", "reduce_mvc", "reduce_sat",

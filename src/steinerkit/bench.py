@@ -22,7 +22,8 @@ from .rl import active_search, greedy_rollout
 from .solvers import DW_TERMINAL_CAP, SteinerTree, dreyfus_wagner, kmb, verify_tree
 
 METHODS = ("classic", "exact", "agent", "active")
-REFERENCES = ("classic", "exact", "opt", "bound")
+SOLVER_REFERENCES = ("classic", "exact")
+REFERENCES = (*SOLVER_REFERENCES, "opt", "bound")
 
 
 def cost_ratio(cost: float, reference: float) -> float:
@@ -121,10 +122,8 @@ def solve_with_method(instance: StpInstance, method: str,
 
 
 def reference_cost(instance: StpInstance, kind: str) -> float:
-    if kind == "classic":
-        return kmb(instance).cost
-    if kind == "exact":
-        return dreyfus_wagner(instance).cost
+    """The ``opt`` or ``bound`` reference, known before any solver runs; a
+    ``classic`` or ``exact`` reference is priced by that solver's run."""
     if kind == "opt":
         if instance.known_opt is None:
             raise ValueError(f"instance {instance.name!r} has no known optimum")
@@ -143,10 +142,9 @@ def _bench_one(args) -> list[BenchRow]:
         return solve_with_method(instance, method, params=params,
                                  active_budget=active_budget, seed=seed)
 
-    # A reference that is also a method is priced by that method's run, made
-    # first, where reference_cost would have run, so errors keep their order.
+    # a solver reference is one verified run, made first, reused as its row
     runs = {}
-    if reference in methods:
+    if reference in SOLVER_REFERENCES:
         runs[reference] = solve(reference)
         ref = runs[reference][0].cost
     else:
@@ -171,8 +169,9 @@ def run_bench(instances, methods, reference: str = "classic",
 
     ``workers`` > 1 fans instances out over processes; row order is by
     instance then method either way, so reports don't depend on scheduling.
-    Instances over the exact solver's terminal cap are rejected up front,
-    all in one error, before any solver runs.
+    Instances over the exact solver's terminal cap, and instances whose
+    reference cost is 0 so that no ratio is defined, are rejected up front,
+    all in one error per cause, before any solver runs.
     """
     instances = list(instances)
     for m in methods:
@@ -184,6 +183,14 @@ def run_bench(instances, methods, reference: str = "classic",
         if over:
             raise ValueError(f"instances exceed the exact-solver cap of "
                              f"{DW_TERMINAL_CAP} terminals: {', '.join(over)}")
+    if reference in SOLVER_REFERENCES:  # positive weights: a tree costs 0 iff |T| = 1
+        zero = [inst.id for inst in instances if len(inst.terminals) == 1]
+    else:
+        zero = [inst.id for inst in instances if not reference_cost(inst, reference) > 0]
+    if zero:
+        label = "instances" if len(zero) > 1 else "instance"
+        raise ValueError(f"{label} {', '.join(zero)}: reference cost 0 is not positive, "
+                         f"so the cost ratio is undefined")
     jobs = [(inst, tuple(methods), reference, params, active_budget, seed + i)
             for i, inst in enumerate(instances)]
     rows: list[BenchRow] = []

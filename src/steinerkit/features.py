@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import StpInstance, shortest_paths
+from .graph import StpInstance
 
 
 def terminal_distance_matrix(instance: StpInstance) -> np.ndarray:
-    """Full |V| x |T| shortest-path distance table.
-
-    Column j corresponds to the j-th terminal in ascending order.  Vertices
-    outside the terminal component keep +inf entries; they can never enter
-    a frontier, so they are excluded from candidates downstream rather
-    than rejected here.
+    """Full |V| x |T| shortest-path distance table: a transposed view of
+    ``instance.terminal_paths``' distances, column j for the j-th terminal
+    in ascending order.  Vertices outside the terminal component keep +inf
+    entries; they can never enter a frontier, so they are excluded from
+    candidates downstream rather than rejected here.
     """
-    terms = instance.terminal_list
-    n = instance.graph.vertex_count
-    table = np.empty((n, len(terms)))
-    for j, t in enumerate(terms):
-        table[:, j] = shortest_paths(instance.graph, t)
-    return table
+    return instance.terminal_paths[0].T
 
 
 def feature_scale(table: np.ndarray) -> float:

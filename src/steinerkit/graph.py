@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,22 +120,13 @@ class WeightedGraph:
         return f"WeightedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-def shortest_paths(graph: WeightedGraph, source: int) -> list[float]:
-    """Single-source shortest path distances (Dijkstra).
-
-    Returns a per-vertex list with ``dist[source] == 0`` and ``inf``
-    for vertices unreachable from ``source``.
-    """
-    dist, _ = shortest_paths_with_parents(graph, source)
-    return dist
-
-
 def shortest_paths_with_parents(
     graph: WeightedGraph, source: int
 ) -> tuple[list[float], list[int]]:
     """Dijkstra with predecessor tracking for path reconstruction.
 
-    Parent of the source (and of unreachable vertices) is -1.  Ties are
+    ``dist[source] == 0``, unreachable vertices keep ``inf``, and the
+    parent of the source (and of unreachable vertices) is -1.  Ties are
     resolved by heap order on (distance, vertex id), so the shortest path
     tree is deterministic.
     """
@@ -245,6 +237,17 @@ class StpInstance:
     def terminal_list(self) -> list[int]:
         """Terminals in ascending order (deterministic iteration order)."""
         return sorted(self.terminals)
+
+    @cached_property
+    def terminal_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(|T|, n)`` distance and parent tables, built once per
+        instance for ``kmb`` and the learner's features: row j is
+        ``shortest_paths_with_parents`` from the j-th terminal in ascending order."""
+        runs = [shortest_paths_with_parents(self.graph, t) for t in self.terminal_list]
+        dist = np.array([d for d, _ in runs])
+        parent = np.array([p for _, p in runs])
+        dist.flags.writeable = parent.flags.writeable = False
+        return dist, parent
 
     @property
     def id(self) -> str:

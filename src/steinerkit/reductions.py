@@ -21,26 +21,33 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     n_clauses = None
     clauses: list[list[int]] = []
     current: list[int] = []
-    for raw in text.splitlines():
+
+    def integer(tok, lineno):
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {tok!r} is not an integer") from None
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {raw!r}")
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+                raise ValueError(f"line {lineno}: bad problem line: {raw!r}")
+            n_vars, n_clauses = integer(parts[2], lineno), integer(parts[3], lineno)
             continue
         if n_vars is None:
-            raise ValueError("clause data before 'p cnf' header")
+            raise ValueError(f"line {lineno}: clause data before 'p cnf' header")
         for tok in line.split():
-            lit = int(tok)
+            lit = integer(tok, lineno)
             if lit == 0:
                 clauses.append(current)
                 current = []
             else:
                 if abs(lit) > n_vars:
-                    raise ValueError(f"literal {lit} out of range for {n_vars} variables")
+                    raise ValueError(f"line {lineno}: literal {lit} out of range for {n_vars} variables")
                 current.append(lit)
     if current:
         clauses.append(current)

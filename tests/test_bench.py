@@ -4,6 +4,7 @@ import pytest
 
 from steinerkit import bench
 from steinerkit.bench import (
+    REFERENCES,
     BenchReport,
     BenchRow,
     cost_ratio,
@@ -118,9 +119,12 @@ class TestSolveWithMethod:
 
 class TestReferenceCost:
     def test_classic_and_exact(self):
+        # a solver reference is priced by that solver, also when it is not benched
         inst = instances(1)[0]
-        assert reference_cost(inst, "classic") == kmb(inst).cost
-        assert reference_cost(inst, "exact") == dreyfus_wagner(inst).cost
+        for kind, other, solver in (("classic", "exact", kmb),
+                                    ("exact", "classic", dreyfus_wagner)):
+            rep = run_bench([inst], (other,), reference=kind)
+            assert rep.rows[0].reference == solver(inst).cost
 
     def test_opt_requires_known_value(self):
         inst = instances(1)[0]
@@ -204,6 +208,26 @@ class TestRunBench:
             assert f"{inst.id} ({len(inst.terminals)} terminals)" in message
         for inst in insts[::2]:
             assert inst.id not in message
+        assert calls == []
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_zero_reference_rejected_before_any_solver_runs(self, monkeypatch,
+                                                            reference):
+        calls = []
+        for solver in ("kmb", "dreyfus_wagner"):
+            monkeypatch.setattr(bench, solver,
+                                lambda instance, _s=solver: calls.append(_s))
+
+        def pinned(inst, name, terminals, value):
+            return StpInstance(graph=inst.graph, terminals=terminals,
+                               known_opt=value, bound=value, name=name)
+
+        a, c = instances(2)
+        insts = [pinned(a, "a", a.terminals, 1.0), pinned(a, "b", {1}, 0.0),
+                 pinned(c, "c", c.terminals, 1.0), pinned(c, "d", {2}, 0.0)]
+        with pytest.raises(ValueError, match="^instances b, d: reference cost 0 "
+                                             "is not positive"):
+            run_bench(insts, ("classic", "exact"), reference=reference)
         assert calls == []
 
     def test_parallel_matches_serial(self):

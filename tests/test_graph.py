@@ -14,7 +14,6 @@ from steinerkit.graph import (
     WeightedGraph,
     all_pairs_shortest_paths,
     reconstruct_path,
-    shortest_paths,
     shortest_paths_with_parents,
 )
 
@@ -105,17 +104,19 @@ class TestWeightedGraph:
 class TestShortestPaths:
     def test_diamond_distances(self):
         g = WeightedGraph(4, DIAMOND)
-        assert shortest_paths(g, 0) == [0.0, 1.0, 3.0, 4.0]
+        dist, parent = shortest_paths_with_parents(g, 0)
+        assert dist == [0.0, 1.0, 3.0, 4.0]
+        assert parent == [-1, 0, 1, 2]
 
     def test_unreachable_is_inf(self):
         g = WeightedGraph(3, [(0, 1, 2.0)])
-        d = shortest_paths(g, 0)
-        assert d[2] == math.inf
+        d, p = shortest_paths_with_parents(g, 0)
+        assert d[2] == math.inf and p[2] == -1
 
     def test_invalid_source(self):
         g = WeightedGraph(3, [(0, 1, 2.0)])
         with pytest.raises(ValueError):
-            shortest_paths(g, 5)
+            shortest_paths_with_parents(g, 5)
 
     def test_matches_scipy_on_random_graphs(self):
         rng = np.random.default_rng(42)
@@ -131,6 +132,8 @@ class TestShortestPaths:
             want = scipy_shortest_path(mat, method="D")
             got, _ = all_pairs_shortest_paths(g)
             assert np.allclose(got, want)
+            for s in range(n):
+                assert np.allclose(shortest_paths_with_parents(g, s)[0], want[s])
 
     def test_parents_reconstruct_shortest_paths(self):
         rng = np.random.default_rng(7)
@@ -193,6 +196,42 @@ class TestAllPairsShortestPaths:
         path = reconstruct_path(parent[0], 0, 3)
         assert path == [0, 1, 2, 3]
         assert all(type(v) is int for v in path)
+
+
+class TestTerminalPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), graph=sparse_graphs())
+    def test_rows_are_terminal_dijkstras(self, data, graph):
+        # terminals come from one component; other vertices may be isolated
+        # or unreachable from them
+        comp = sorted(graph.component_of(data.draw(st.integers(0, graph.vertex_count - 1))))
+        terms = data.draw(st.lists(st.sampled_from(comp), min_size=1, unique=True))
+        inst = StpInstance(graph=graph, terminals=frozenset(terms))
+        dist, parent = inst.terminal_paths
+        assert dist.shape == parent.shape == (len(terms), graph.vertex_count)
+        all_dist, all_parent = all_pairs_shortest_paths(graph)
+        for j, t in enumerate(inst.terminal_list):
+            d, p = shortest_paths_with_parents(graph, t)
+            assert np.array_equal(dist[j], d) and np.array_equal(parent[j], p)
+            assert np.array_equal(dist[j], all_dist[t])
+            assert np.array_equal(parent[j], all_parent[t])
+
+    def test_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        real = graph_module.shortest_paths_with_parents
+        monkeypatch.setattr(graph_module, "shortest_paths_with_parents",
+                            lambda g, s: calls.append(s) or real(g, s))
+        inst = StpInstance(graph=WeightedGraph(4, DIAMOND), terminals=frozenset({3, 0}))
+        assert inst.terminal_paths is inst.terminal_paths
+        assert calls == [0, 3]
+        dist, parent = inst.terminal_paths
+        assert not dist.flags.writeable and not parent.flags.writeable
+
+    def test_cache_is_not_part_of_equality(self):
+        a = StpInstance(graph=WeightedGraph(4, DIAMOND), terminals=frozenset({3, 0}))
+        b = StpInstance(graph=WeightedGraph(4, DIAMOND), terminals=frozenset({3, 0}))
+        a.terminal_paths
+        assert a == b and hash(a) == hash(b)
 
 
 class TestStpInstance:

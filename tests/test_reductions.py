@@ -58,6 +58,8 @@ class TestParsers:
         ("p cnf 2 1\n5 0\n", "out of range"),
         ("p cnf 2 3\n1 0\n", "promises 3 clauses"),
         ("c nothing here\n", "missing 'p cnf' header"),
+        ("p cnf 2 1\n1 -x 0\n", "line 2: '-x' is not an integer"),
+        ("p cnf x 2\n", "line 1: 'x' is not an integer"),
     ])
     def test_dimacs_errors(self, text, msg):
         with pytest.raises(ValueError, match=msg):

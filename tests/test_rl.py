@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import steinerkit.graph as graph_module
+import steinerkit.solvers as solvers_module
 from steinerkit.generators import GeneratorConfig, generate
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.qnet import init_params, q_values, sgd_step, zero_like
@@ -31,7 +33,7 @@ from steinerkit.rl import (
     train_step,
     write_curve_csv,
 )
-from steinerkit.solvers import dreyfus_wagner, verify_tree
+from steinerkit.solvers import dreyfus_wagner, kmb, verify_tree
 
 # Reward fixture: distances to T={0,3} are rows [0,4],[1,3],[3,1],[4,0],
 # scale 4, terminal bonus c = mean weight 2.25.
@@ -96,6 +98,25 @@ class TestInstanceStatic:
         assert st.scale == 4.0
         assert st.bonus_c == pytest.approx(2.25)
         assert list(st.t_bits) == [1.0, 0.0, 0.0, 1.0]
+
+    def test_kmb_and_features_share_one_dijkstra_per_terminal(self, monkeypatch):
+        calls = []
+        real = graph_module.shortest_paths_with_parents
+
+        def counting(graph, source):
+            calls.append(source)
+            return real(graph, source)
+
+        monkeypatch.setattr(graph_module, "shortest_paths_with_parents", counting)
+        monkeypatch.setattr(solvers_module, "shortest_paths_with_parents", counting)
+        instance_static.cache_clear()
+        inst = generate(GeneratorConfig(model="rr", n=30, terminal_ratio=0.2,
+                                        weight_range=(1.0, 5.0), seed=101))
+        kmb(inst)
+        st = instance_static(inst)
+        assert sorted(calls) == inst.terminal_list
+        # the feature table is a view of the instance's own distances
+        assert np.shares_memory(st.table, inst.terminal_paths[0])
 
 
 class TestReset:
