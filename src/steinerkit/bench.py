@@ -19,24 +19,18 @@ import numpy as np
 from .graph import StpInstance
 from .qnet import QNetParams
 from .rl import active_search, greedy_rollout
-from .solvers import DW_TERMINAL_CAP, SteinerTree, dreyfus_wagner, kmb, verify_tree
+from .solvers import (
+    DW_TERMINAL_CAP,
+    SteinerTree,
+    cost_ratio,
+    dreyfus_wagner,
+    kmb,
+    verify_tree,
+)
 
 METHODS = ("classic", "exact", "agent", "active")
 SOLVER_REFERENCES = ("classic", "exact")
 REFERENCES = (*SOLVER_REFERENCES, "opt", "bound")
-
-
-def cost_ratio(cost: float, reference: float) -> float:
-    """Cost over a reference cost: Gain against the classic baseline (< 1
-    beats it), R against a known optimum (1 means optimal), B against a
-    reduction's YES-bound (<= 1 certifies YES).  Every ratio the package
-    reports comes from here.  A reference of 0, which every solver reaches
-    on a single-terminal instance, leaves the ratio undefined, so 0/0 is an
-    error too."""
-    if not reference > 0:
-        raise ValueError(f"reference cost {reference:g} is not positive, "
-                         f"so the cost ratio is undefined")
-    return cost / reference
 
 
 @dataclass(frozen=True)

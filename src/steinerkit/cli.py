@@ -1,8 +1,10 @@
 """Command-line entry points: solve, train, bench, reduce.
 
 Instance sources are either a SteinLib .stp path, a directory of .stp
-files, or a compact generator spec like ``rr:n=30,m=0.2,w=1:5``.  All
-randomness flows from --seed, so every command is reproducible.
+files, or a compact generator spec like ``rr:n=30,m=0.2,w=1:5``; ``solve``
+takes exactly one instance, so not a directory.  Every default, choice
+list, ratio and cap comes from the module that owns it.  All randomness
+flows from --seed, so every command is reproducible.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import GeneratorType
 
-from .bench import run_bench, solve_with_method
+from .bench import METHODS, REFERENCES, run_bench, solve_with_method
 from .generators import generate, parse_generator_spec
 from .qnet import load_checkpoint, save_checkpoint
 from .reductions import (
@@ -26,97 +29,72 @@ from .reductions import (
     reduce_x3c,
 )
 from .rl import DdqnConfig, train, write_curve_csv
-from .solvers import DW_TERMINAL_CAP, dreyfus_wagner
+from .solvers import cost_ratio, dreyfus_wagner
 from .steinlib import edge_list_text, parse_steinlib_file, write_steinlib_file
 
 VALIDATION_SEED_OFFSET = 1_000_000
 
+# DdqnConfig fields settable from `train`, in --help order; each flag's
+# type and default are the field's own
+HYPER_FLAGS = ("rounds", "batch", "gamma", "lr", "k", "p_dim", "epsilon_start",
+               "epsilon_end", "target_sync", "replay_cap")
+
 SWEEPS = {
-    "batch": ("batch", (8, 16, 32, 64, 128)),
-    "lr": ("lr", (1e-3, 1e-4, 1e-5)),
-    "k": ("k", (1, 2, 3, 4)),
-    "gamma": ("gamma", (0.2, 0.4, 0.8)),
+    "batch": (8, 16, 32, 64, 128),
+    "lr": (1e-3, 1e-4, 1e-5),
+    "k": (1, 2, 3, 4),
+    "gamma": (0.2, 0.4, 0.8),
 }
 
 
-def _load_one_instance(source: str, seed: int):
-    path = Path(source)
-    if source.endswith(".stp"):
-        if not path.is_file():
-            raise ValueError(f"instance file not found: {source}")
-        return parse_steinlib_file(path)
-    cfg = parse_generator_spec(source, seed=seed)
-    return generate(cfg)
-
-
-def _load_instance_set(source: str, seed: int, count: int):
+def _instances(source: str, seed: int):
+    """The instances a source names: a one-element list for a .stp file,
+    a directory's .stp files in name order (parsed as they are taken), or
+    the endless generator stream seeded seed, seed + 1, ..."""
     path = Path(source)
     if path.is_dir():
         files = sorted(path.glob("*.stp"))
         if not files:
             raise ValueError(f"no .stp files under {source}")
-        return [parse_steinlib_file(f) for f in files[:count]]
+        return map(parse_steinlib_file, files)
     if source.endswith(".stp"):
         if not path.is_file():
             raise ValueError(f"instance file not found: {source}")
         return [parse_steinlib_file(path)]
     base = parse_generator_spec(source, seed=seed)
-    return [generate(replace(base, seed=seed + i)) for i in range(count)]
-
-
-def _instance_stream(source: str, seed: int):
-    path = Path(source)
-    if path.is_dir():
-        files = sorted(path.glob("*.stp"))
-        if not files:
-            raise ValueError(f"no .stp files under {source}")
-        return itertools.cycle([parse_steinlib_file(f) for f in files])
-    base = parse_generator_spec(source, seed=seed)
     return (generate(replace(base, seed=seed + i)) for i in itertools.count())
 
 
-def _validation_set(source: str, seed: int, count: int):
-    path = Path(source)
-    if path.is_dir():
-        return _load_instance_set(source, seed, count)
-    base = parse_generator_spec(source, seed=seed)
-    return [generate(replace(base, seed=seed + VALIDATION_SEED_OFFSET + i))
-            for i in range(count)]
+def _training_stream(source: str, seed: int):
+    """Endless spec streams as they are; finite sources cycled."""
+    instances = _instances(source, seed)
+    if isinstance(instances, GeneratorType):
+        return instances
+    return itertools.cycle(list(instances))
+
+
+def _first(instances, count: int, flag: str) -> list:
+    if count < 0:
+        raise ValueError(f"{flag} must be non-negative, got {count}")
+    return list(itertools.islice(instances, count))
 
 
 def _config_from_args(args) -> DdqnConfig:
-    return DdqnConfig(
-        p_dim=args.p_dim, k=args.k, gamma=args.gamma, lr=args.lr,
-        batch=args.batch, epsilon_start=args.epsilon_start,
-        epsilon_end=args.epsilon_end, target_sync=args.target_sync,
-        replay_cap=args.replay_cap, rounds=args.rounds, seed=args.seed,
-    )
-
-
-def _add_hyper_flags(p: argparse.ArgumentParser, rounds_default: int) -> None:
-    p.add_argument("--rounds", type=int, default=rounds_default)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--p-dim", type=int, default=64)
-    p.add_argument("--epsilon-start", type=float, default=0.1)
-    p.add_argument("--epsilon-end", type=float, default=0.0)
-    p.add_argument("--target-sync", type=int, default=100)
-    p.add_argument("--replay-cap", type=int, default=50_000)
+    return DdqnConfig(seed=args.seed, **{f: getattr(args, f) for f in HYPER_FLAGS})
 
 
 def _require_checkpoint(args, methods):
-    if any(m in ("agent", "active") for m in methods):
-        if not args.checkpoint:
-            raise ValueError("methods 'agent' and 'active' need --checkpoint")
-        params, _ = load_checkpoint(args.checkpoint)
-        return params
-    return None
+    if not any(m in ("agent", "active") for m in methods):
+        return None
+    if not args.checkpoint:
+        raise ValueError("methods 'agent' and 'active' need --checkpoint")
+    return load_checkpoint(args.checkpoint)[0]
 
 
 def cmd_solve(args) -> int:
-    instance = _load_one_instance(args.instance, args.seed)
+    if Path(args.instance).is_dir():
+        raise ValueError(f"solve takes one instance, not the directory {args.instance}")
+    instance = next(iter(_instances(args.instance, args.seed)))
     params = _require_checkpoint(args, [args.method])
     tree, wall = solve_with_method(instance, args.method, params=params,
                                    active_budget=args.rounds, seed=args.seed)
@@ -131,10 +109,10 @@ def cmd_solve(args) -> int:
     }
     if instance.known_opt is not None:
         report["known_opt"] = instance.known_opt
-        report["ratio_vs_opt"] = tree.cost / instance.known_opt
+        report["ratio_vs_opt"] = cost_ratio(tree.cost, instance.known_opt)
     if instance.bound is not None:
         report["bound"] = instance.bound
-        report["ratio_vs_bound"] = tree.cost / instance.bound
+        report["ratio_vs_bound"] = cost_ratio(tree.cost, instance.bound)
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -148,13 +126,14 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     out = args.out or "train"
-    validation = _validation_set(args.source, args.seed, args.validation)
+    validation = _first(_instances(args.source, args.seed + VALIDATION_SEED_OFFSET),
+                        args.validation, "--validation")
 
     if args.sweep:
-        field, values = SWEEPS[args.sweep]
-        for value in values:
+        field = args.sweep
+        for value in SWEEPS[field]:
             cfg = replace(_config_from_args(args), **{field: value})
-            stream = _instance_stream(args.source, cfg.seed)
+            stream = _training_stream(args.source, cfg.seed)
             _, curve = train(stream, cfg, validation_instances=validation)
             tag = f"{value:g}" if isinstance(value, float) else str(value)
             write_curve_csv(curve, f"{out}.sweep-{field}-{tag}.curve.csv")
@@ -163,7 +142,7 @@ def cmd_train(args) -> int:
         return 0
 
     cfg = _config_from_args(args)
-    stream = _instance_stream(args.source, cfg.seed)
+    stream = _training_stream(args.source, cfg.seed)
     params, curve = train(stream, cfg, validation_instances=validation)
     ckpt = f"{out}.ckpt.json"
     save_checkpoint(params, ckpt, meta={"config": asdict(cfg)})
@@ -177,7 +156,7 @@ def cmd_bench(args) -> int:
     if not methods:
         raise ValueError("no methods given")
     params = _require_checkpoint(args, methods)
-    instances = _load_instance_set(args.source, args.seed, args.trials)
+    instances = _first(_instances(args.source, args.seed), args.trials, "--trials")
     report = run_bench(instances, methods, reference=args.reference,
                        params=params, active_budget=args.rounds,
                        seed=args.seed, workers=args.workers)
@@ -212,11 +191,6 @@ def cmd_reduce(args) -> int:
     }
 
     if args.check:
-        if len(red.instance.terminals) > DW_TERMINAL_CAP:
-            raise ValueError(
-                f"--check needs <= {DW_TERMINAL_CAP} terminals, "
-                f"instance has {len(red.instance.terminals)}"
-            )
         tree = dreyfus_wagner(red.instance)
         yes = tree.cost <= red.bound + 1e-9
         witness = red.decode_witness(tree)
@@ -247,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance with a chosen method")
     p.add_argument("instance", help=".stp file or generator spec")
-    p.add_argument("--method", choices=("classic", "exact", "agent", "active"),
-                   default="classic")
+    p.add_argument("--method", choices=METHODS, default="classic")
     p.add_argument("--checkpoint", help="trained parameters (agent/active)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=2000,
@@ -260,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the solver on generated instances")
     p.add_argument("source", help="generator spec or directory of .stp files")
     p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p, rounds_default=6000)
+    defaults = DdqnConfig()
+    for name in HYPER_FLAGS:
+        value = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     p.add_argument("--validation", type=int, default=20,
                    help="held-out instances for checkpoint selection")
     p.add_argument("--sweep", choices=tuple(SWEEPS),
@@ -271,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark methods over an instance set")
     p.add_argument("source", help="generator spec, .stp file, or directory")
     p.add_argument("--methods", default="classic,exact",
-                   help="comma-separated subset of classic,exact,agent,active")
-    p.add_argument("--reference", choices=("classic", "exact", "opt", "bound"),
-                   default="classic")
+                   help=f"comma-separated subset of {','.join(METHODS)}")
+    p.add_argument("--reference", choices=REFERENCES, default="classic")
     p.add_argument("--trials", type=int, default=200,
                    help="number of instances (for generator sources)")
     p.add_argument("--checkpoint", help="trained parameters (agent/active)")

@@ -15,18 +15,19 @@ from .graph import StpInstance, WeightedGraph
 from .solvers import SteinerTree
 
 
+def _integer(tok: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {tok!r} is not an integer") from None
+
+
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     """Parse DIMACS CNF: returns (variable count, clauses as literal lists)."""
     n_vars = None
     n_clauses = None
     clauses: list[list[int]] = []
     current: list[int] = []
-
-    def integer(tok, lineno):
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {tok!r} is not an integer") from None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -36,12 +37,12 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line: {raw!r}")
-            n_vars, n_clauses = integer(parts[2], lineno), integer(parts[3], lineno)
+            n_vars, n_clauses = _integer(parts[2], lineno), _integer(parts[3], lineno)
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause data before 'p cnf' header")
         for tok in line.split():
-            lit = integer(tok, lineno)
+            lit = _integer(tok, lineno)
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -58,20 +59,29 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return n_vars, clauses
 
 
+def _integer_rows(text: str, what: str, header: tuple[int, str], row: tuple[int, str]):
+    """The header and rows of a whitespace-separated integer source, each
+    shape an (arity, description) pair; blank and '#' lines are skipped,
+    and every error names its line."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        arity, description = row if rows else header
+        toks = line.split()
+        if len(toks) != arity:
+            raise ValueError(f"line {lineno}: expected {description}, got {line!r}")
+        rows.append(tuple(_integer(tok, lineno) for tok in toks))
+    if not rows:
+        raise ValueError(f"empty {what} input")
+    return rows[0], rows[1:]
+
+
 def parse_mvc_source(text: str) -> tuple[int, list[tuple[int, int]], int]:
     """Parse a vertex-cover instance: 'n m k' header then m 'u v' edge lines."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty vertex-cover input")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"expected 'n m k' header, got {lines[0]!r}")
-    n, m, k = (int(x) for x in head)
-    edges = []
-    for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        edges.append((u, v))
+    (n, m, k), edges = _integer_rows(
+        text, "vertex-cover", (3, "an 'n m k' header"), (2, "a 'u v' edge"))
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
     return n, edges, k
@@ -79,20 +89,9 @@ def parse_mvc_source(text: str) -> tuple[int, list[tuple[int, int]], int]:
 
 def parse_x3c_source(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     """Parse an exact-cover instance: 'n_elements n_triples' then triple lines."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty exact-cover input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected 'n_elements n_triples' header, got {lines[0]!r}")
-    n_elements, n_triples = int(head[0]), int(head[1])
-    triples = []
-    for ln in lines[1:]:
-        vals = tuple(int(x) for x in ln.split())
-        if len(vals) != 3:
-            raise ValueError(f"triple line must hold 3 elements, got {ln!r}")
-        triples.append(vals)
+    (n_elements, n_triples), triples = _integer_rows(
+        text, "exact-cover", (2, "an 'n_elements n_triples' header"),
+        (3, "a triple of 3 elements"))
     if len(triples) != n_triples:
         raise ValueError(f"header promises {n_triples} triples, found {len(triples)}")
     return n_elements, triples

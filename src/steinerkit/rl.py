@@ -32,7 +32,7 @@ from .qnet import (
     sgd_step,
     zero_like,
 )
-from .solvers import SteinerTree, kmb, prune, verify_tree
+from .solvers import SteinerTree, cost_ratio, kmb, prune, verify_tree
 
 
 @dataclass(frozen=True)
@@ -425,6 +425,12 @@ def train(instance_stream, config: DdqnConfig,
     if validation_instances is not None:
         validation_instances = list(validation_instances)
         val_classic = [kmb(inst).cost for inst in validation_instances]
+        zero = [inst.id for inst, ref in zip(validation_instances, val_classic)
+                if not ref > 0]
+        if zero:
+            label = "instances" if len(zero) > 1 else "instance"
+            raise ValueError(f"validation {label} {', '.join(zero)}: classic cost 0 "
+                             f"leaves the validation Gain undefined")
 
     stream = iter(instance_stream)
     curve: list[CurveRow] = []
@@ -444,7 +450,7 @@ def train(instance_stream, config: DdqnConfig,
         if validation_instances and (round_idx + 1) % config.validation_every == 0:
             costs = [greedy_rollout(inst, env_params).cost
                      for inst in validation_instances]
-            last_gain = float(np.mean([c / ref for c, ref
+            last_gain = float(np.mean([cost_ratio(c, ref) for c, ref
                                        in zip(costs, val_classic)]))
             if last_gain < best_gain:
                 best_gain = last_gain

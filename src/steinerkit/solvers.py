@@ -48,6 +48,19 @@ class TreeVerificationError(ValueError):
     pass
 
 
+def cost_ratio(cost: float, reference: float) -> float:
+    """Cost over a reference cost: Gain against the classic baseline (< 1
+    beats it), R against a known optimum (1 means optimal), B against a
+    reduction's YES-bound (<= 1 certifies YES).  Every ratio the package
+    reports comes from here.  A reference of 0, which every solver reaches
+    on a single-terminal instance, leaves the ratio undefined, so 0/0 is an
+    error too."""
+    if not reference > 0:
+        raise ValueError(f"reference cost {reference:g} is not positive, "
+                         f"so the cost ratio is undefined")
+    return cost / reference
+
+
 def verify_tree(instance: StpInstance, edges) -> SteinerTree:
     """Check tree invariants and terminal coverage; reject anything else.
 

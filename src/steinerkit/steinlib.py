@@ -9,6 +9,7 @@ other than Comment/Graph/Terminals are accepted and ignored.
 from __future__ import annotations
 
 import io
+import math
 from collections.abc import Iterable
 
 from .graph import StpInstance, WeightedGraph
@@ -40,7 +41,8 @@ def parse_steinlib(text: str) -> StpInstance:
     """Parse SteinLib STP text into an instance.
 
     Raises :class:`SteinlibParseError` naming the line for missing
-    sections, duplicate edges, out-of-range ids, and non-positive weights.
+    sections, malformed Nodes/E/T lines, duplicate edges, out-of-range
+    ids, non-finite numbers, and non-positive weights.
     """
     nodes: int | None = None
     edges: list[tuple[int, int, float]] = []
@@ -91,6 +93,8 @@ def parse_steinlib(text: str) -> StpInstance:
             parts = line.split()
             key = parts[0].upper()
             if key == "NODES":
+                if len(parts) != 2:
+                    raise SteinlibParseError(line_no, f"expected 'Nodes n', got {line!r}")
                 nodes = _parse_int(parts[1], line_no, "Nodes")
             elif key == "EDGES":
                 continue  # declared count is advisory; actual E lines decide
@@ -122,6 +126,8 @@ def parse_steinlib(text: str) -> StpInstance:
             if key == "T":
                 if nodes is None:
                     raise SteinlibParseError(line_no, "terminal before SECTION Graph")
+                if len(parts) != 2:
+                    raise SteinlibParseError(line_no, f"expected 'T id', got {line!r}")
                 t = _parse_int(parts[1], line_no, "terminal id")
                 if not (1 <= t <= nodes):
                     raise SteinlibParseError(line_no, f"terminal {t} out of range 1..{nodes}")
@@ -201,9 +207,12 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 def _parse_number(token: str, line_no: int, what: str) -> float:
     try:
-        return float(token)
+        x = float(token)
     except ValueError:
         raise SteinlibParseError(line_no, f"bad {what}: {token!r}") from None
+    if not math.isfinite(x):
+        raise SteinlibParseError(line_no, f"non-finite {what}: {token!r}")
+    return x
 
 
 def _fmt_number(x: float) -> str:

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from steinerkit.cli import main
+from steinerkit.cli import _config_from_args, build_parser, main
+from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.qnet import init_params, load_checkpoint, save_checkpoint
+from steinerkit.rl import DdqnConfig
 from steinerkit.steinlib import parse_steinlib_file, write_steinlib_file
 
 # diamond fixture: optimum is 0-1-2-3 at cost 4, classic also finds it
@@ -25,6 +28,15 @@ GEN_SPEC = "er:n=8,m=0.4,w=1:4"
 def diamond_file(tmp_path):
     path = tmp_path / "diamond.stp"
     write_steinlib_file(DIAMOND, path)
+    return path
+
+
+@pytest.fixture
+def stp_dir(tmp_path):
+    path = tmp_path / "stps"
+    path.mkdir()
+    write_steinlib_file(DIAMOND, path / "a-diamond.stp")
+    write_steinlib_file(generate(parse_generator_spec(GEN_SPEC, seed=9)), path / "b-er.stp")
     return path
 
 
@@ -89,12 +101,24 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", str(diamond_file), "--method", "psychic"])
 
+    def test_zero_optimum_is_a_named_error(self, tmp_path, capsys):
+        path = tmp_path / "zero.stp"
+        write_steinlib_file(replace(DIAMOND, known_opt=0.0), path)
+        rc = main(["solve", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: reference cost 0 is not positive")
+        assert not (tmp_path / "r.json").exists()
+
 
 TRAIN_FLAGS = ["--rounds", "6", "--p-dim", "2", "--batch", "4",
                "--validation", "2", "--seed", "3"]
 
 
 class TestTrain:
+    def test_default_flags_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", GEN_SPEC])
+        assert _config_from_args(args) == DdqnConfig(seed=0)
+
     def test_writes_checkpoint_and_curve(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", GEN_SPEC, *TRAIN_FLAGS, "--out", str(out)])
@@ -167,6 +191,12 @@ class TestBench:
         payload = json.loads((tmp_path / "one.json").read_text())
         assert payload["rows"][0]["ratio"] == 1.0
 
+    def test_directory_parses_no_file_past_trials(self, stp_dir, tmp_path):
+        (stp_dir / "z-broken.stp").write_text("not a SteinLib file\n")
+        rc = main(["bench", str(stp_dir), "--methods", "classic", "--trials", "2",
+                   "--out", str(tmp_path / "b")])
+        assert rc == 0
+
     def test_single_terminal_file_is_a_named_error(self, tmp_path, capsys):
         # every solver costs 0 there, so the ratio against classic is 0/0
         path = tmp_path / "one.stp"
@@ -183,6 +213,13 @@ class TestBench:
         rc = main(["bench", GEN_SPEC, "--methods", "agent", "--trials", "1"])
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("bench", "--trials"),
+                                               ("train", "--validation")])
+    def test_negative_count_rejected(self, capsys, command, flag):
+        rc = main([command, GEN_SPEC, flag, "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} must be non-negative, got -1\n"
 
     def test_empty_methods_rejected(self, capsys):
         rc = main(["bench", GEN_SPEC, "--methods", " , "])
@@ -240,12 +277,54 @@ class TestReduce:
         assert check["yes_instance"] is True
         assert check["witness"] == [0, 1]
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("mvc", "3 2 1\n0 x\n1 2\n", "line 2: 'x' is not an integer"),
+        ("mvc", "3 2 1\n0 1 2\n1 2\n", "line 2: expected a 'u v' edge, got '0 1 2'"),
+        ("mvc", "# graph\n3 2\n0 1\n", "line 2: expected an 'n m k' header, got '3 2'"),
+        ("x3c", "6 x\n", "line 1: 'x' is not an integer"),
+        ("x3c", "6 1\n\n0 1 y\n", "line 3: 'y' is not an integer"),
+        ("x3c", "6 1\n0 1\n", "line 2: expected a triple of 3 elements, got '0 1'"),
+    ])
+    def test_source_errors_name_line_and_token(self, tmp_path, capsys, kind, text, message):
+        src = tmp_path / "src.txt"
+        src.write_text(text)
+        rc = main(["reduce", kind, str(src), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_check_over_cap_is_the_solver_error(self, tmp_path, capsys):
+        src = tmp_path / "x.txt"
+        src.write_text("15 5\n" + "".join(f"{i} {i + 1} {i + 2}\n" for i in range(0, 15, 3)))
+        rc = main(["reduce", "x3c", str(src), "--check", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: 16 terminals exceed the exact-solver cap of 14\n"
+
     def test_malformed_source_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("not a cnf\n")
         rc = main(["reduce", "sat", str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["file", "directory", "spec"])
+@pytest.mark.parametrize("command", ["solve", "train", "bench"])
+def test_every_source_kind(command, kind, diamond_file, stp_dir, tmp_path, capsys):
+    source = {"file": str(diamond_file), "directory": str(stp_dir), "spec": GEN_SPEC}[kind]
+    out = str(tmp_path / "out")
+    flags = {
+        "solve": ["--method", "exact", "--out", out],
+        "train": [*TRAIN_FLAGS, "--out", out],
+        "bench": ["--methods", "classic,exact", "--trials", "2", "--out", out],
+    }[command]
+    rc = main([command, source, *flags])
+    err = capsys.readouterr().err
+    if (command, kind) == ("solve", "directory"):
+        assert rc == 2
+        assert err == f"error: solve takes one instance, not the directory {source}\n"
+    else:
+        assert rc == 0, err
 
 
 class TestEntryPoint:

@@ -533,6 +533,17 @@ class TestTrain:
         assert np.isfinite(gains[-1])
         assert params.p_dim == 2
 
+    def test_zero_classic_validation_instance_rejected_before_round_0(self):
+        one = StpInstance(graph=REWARD_INSTANCE.graph, terminals=frozenset({2}),
+                          name="one")
+        rounds = []
+        with pytest.raises(ValueError, match="validation instance one: classic cost 0"):
+            train(itertools.cycle([small_instance(0)]),
+                  self.tiny_config(rounds=2, validation_every=1),
+                  validation_instances=[small_instance(1), one],
+                  train_hook=lambda r, _: rounds.append(r))
+        assert rounds == []
+
     def test_write_curve_csv(self, tmp_path):
         rows = [CurveRow(0, 3.5, math.nan, 0.1),
                 CurveRow(1, 4.0, 0.25, 0.05, 1.125)]

@@ -99,6 +99,11 @@ def test_missing_graph_section():
     (("E 3 4 1", "E 3 4 0"), "non-positive weight"),
     (("E 3 4 1", "E 3 3 1"), "self loop"),
     (("T 4", "T 9"), "out of range"),
+    (("Nodes 4", "Nodes"), "line 9: expected 'Nodes n', got 'Nodes'"),
+    (("T 4", "T"), "line 21: expected 'T id', got 'T'"),
+    (('Creator "test"', "Opt inf"), "line 5: non-finite Opt: 'inf'"),
+    (('Creator "test"', "Bound nan"), "line 5: non-finite Bound: 'nan'"),
+    (("E 3 4 1", "E 3 4 inf"), "line 15: non-finite edge weight: 'inf'"),
 ])
 def test_parse_errors_name_the_problem(mutation, message):
     old, new = mutation
