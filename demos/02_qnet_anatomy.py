@@ -2,7 +2,9 @@
 Anatomy of the Q-network: encode, process, decode
 =================================================
 
-The action-value network runs in three stages, all plain numpy:
+The action-value network runs in three stages, all plain numpy.
+``forward`` runs the first two and caches each one's output;
+``q_values`` adds the third:
 
   1. encode  - each vertex v gets an embedding from [in-tree bit,
                terminal bit] and its K-nearest-terminal distance row x_v.
@@ -18,8 +20,9 @@ the hand-coded backward pass against central finite differences.
 
 import numpy as np
 
-from steinerkit import StpInstance, WeightedGraph, reset
-from steinerkit.qnet import decode_q, encode, grad, init_params, process, q_values
+from steinerkit import StpInstance, WeightedGraph, init_params
+from steinerkit.qnet import forward, grad, q_values
+from steinerkit.rl import reset
 
 instance = StpInstance(
     graph=WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 5.0), (2, 3, 1.0)]),
@@ -38,16 +41,17 @@ print("s_bits:", inp.s_bits, " t_bits:", inp.t_bits)
 params = init_params(p_dim=4, k=2, seed=0)
 
 # Stage by stage.  The embedding matrix has one row per vertex.
-mu = encode(params, inp.x, inp.s_bits, inp.t_bits)
-print("\nencoded mu shape:", mu.shape)
-mu_p = process(params, mu, inp.adjacency, inp.degrees)
-print("processed mu' shape:", mu_p.shape)
-for v in range(4):
-    print(f"  Q(S, {v}) = {decode_q(params, mu_p, v):+.4f}")
+cache = forward(params, inp)
+print("\nencoded mu shape:", cache.mu.shape)
+print(cache.mu)
+print("processed mu' shape:", cache.mu_p.shape)
+print(cache.mu_p)
 
-# q_values runs the same three stages, decoding every vertex at once;
+# q_values decodes every vertex at once from the processed embeddings;
 # only frontier vertices are legal actions, here just vertex 1.
 q = q_values(params, inp)
+for v in range(4):
+    print(f"  Q(S, {v}) = {q[v]:+.4f}")
 print("\nfrontier:", sorted(state.frontier), "-> greedy action",
       max(state.frontier, key=lambda v: q[v]))
 

@@ -1,52 +1,21 @@
 """Steiner tree toolkit: instances, baselines, an exact solver, a learned
-greedy solver with DDQN training, NP-hard reductions, and benchmarks."""
+greedy solver with DDQN training, NP-hard reductions, and benchmarks.
 
-from .bench import (
-    BenchReport,
-    BenchRow,
-    cost_ratio,
-    run_bench,
-    solve_with_method,
-)
-from .features import feature_scale, knn_features, terminal_distance_matrix
+The package root lists the public API.  Learner and feature internals
+(``steinerkit.rl.step``, ``steinerkit.qnet.q_values``,
+``steinerkit.features.knn_features``, ...) stay importable from their
+own modules."""
+
+from .bench import BenchReport, run_bench, solve_with_method
 from .generators import GeneratorConfig, generate, parse_generator_spec
-from .graph import (
-    StpInstance,
-    WeightedGraph,
-    all_pairs_shortest_paths,
-)
-from .qnet import (
-    NetInput,
-    QNetParams,
-    init_params,
-    load_checkpoint,
-    q_values,
-    save_checkpoint,
-)
-from .reductions import (
-    ReductionOutput,
-    parse_dimacs,
-    reduce_mvc,
-    reduce_sat,
-    reduce_x3c,
-)
-from .rl import (
-    DdqnConfig,
-    EpisodeState,
-    ReplayBuffer,
-    Transition,
-    active_search,
-    ddqn_target,
-    greedy_rollout,
-    reset,
-    select_action,
-    step,
-    train,
-    train_step,
-)
+from .graph import StpInstance, WeightedGraph
+from .qnet import QNetParams, init_params, load_checkpoint, save_checkpoint
+from .reductions import parse_dimacs, reduce_mvc, reduce_sat, reduce_x3c
+from .rl import DdqnConfig, active_search, greedy_rollout, train
 from .solvers import (
     SteinerTree,
     TreeVerificationError,
+    cost_ratio,
     dreyfus_wagner,
     kmb,
     prune,
@@ -57,20 +26,14 @@ from .steinlib import parse_steinlib, parse_steinlib_file, write_steinlib
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport", "BenchRow", "cost_ratio",
-    "run_bench", "solve_with_method",
-    "feature_scale", "knn_features", "terminal_distance_matrix",
     "GeneratorConfig", "generate", "parse_generator_spec",
-    "StpInstance", "WeightedGraph", "all_pairs_shortest_paths",
-    "NetInput", "QNetParams", "init_params", "load_checkpoint",
-    "q_values", "save_checkpoint",
-    "ReductionOutput", "parse_dimacs", "reduce_mvc", "reduce_sat",
-    "reduce_x3c",
-    "DdqnConfig", "EpisodeState", "ReplayBuffer", "Transition",
-    "active_search", "ddqn_target", "greedy_rollout", "reset",
-    "select_action", "step", "train", "train_step",
-    "SteinerTree", "TreeVerificationError", "dreyfus_wagner", "kmb",
-    "prune", "verify_tree",
+    "StpInstance", "WeightedGraph",
+    "SteinerTree", "TreeVerificationError", "verify_tree", "prune", "kmb",
+    "dreyfus_wagner", "cost_ratio",
     "parse_steinlib", "parse_steinlib_file", "write_steinlib",
+    "reduce_sat", "reduce_mvc", "reduce_x3c", "parse_dimacs",
+    "DdqnConfig", "train", "greedy_rollout", "active_search",
+    "QNetParams", "init_params", "load_checkpoint", "save_checkpoint",
+    "run_bench", "solve_with_method", "BenchReport",
     "__version__",
 ]

@@ -29,6 +29,8 @@ from .solvers import (
 )
 
 METHODS = ("classic", "exact", "agent", "active")
+PARAM_METHODS = ("agent", "active")  # the methods that need trained parameters
+ACTIVE_BUDGET = 2000  # default active-search rounds
 SOLVER_REFERENCES = ("classic", "exact")
 REFERENCES = (*SOLVER_REFERENCES, "opt", "bound")
 
@@ -48,18 +50,12 @@ class BenchReport:
     reference_kind: str
     rows: list[BenchRow]
 
-    def methods(self) -> list[str]:
-        seen = dict.fromkeys(r.method for r in self.rows)
-        return list(seen)
-
-    def mean_ratio(self, method: str) -> float:
-        ratios = [r.ratio for r in self.rows if r.method == method]
-        if not ratios:
-            raise ValueError(f"no rows for method {method!r}")
-        return float(np.mean(ratios))
-
     def aggregates(self) -> dict[str, float]:
-        return {m: self.mean_ratio(m) for m in self.methods()}
+        """Mean ratio per method, methods in order of first appearance."""
+        ratios: dict[str, list[float]] = {}
+        for r in self.rows:
+            ratios.setdefault(r.method, []).append(r.ratio)
+        return {m: float(np.mean(rs)) for m, rs in ratios.items()}
 
     def to_dict(self, include_timing: bool = True) -> dict:
         rows = []
@@ -92,21 +88,19 @@ class BenchReport:
 
 def solve_with_method(instance: StpInstance, method: str,
                       params: QNetParams | None = None,
-                      active_budget: int = 2000,
+                      active_budget: int = ACTIVE_BUDGET,
                       seed: int = 0) -> tuple[SteinerTree, float]:
     """Run one solver; returns the verified tree and elapsed wall seconds."""
+    if method in PARAM_METHODS and params is None:
+        raise ValueError(f"method {method!r} needs trained parameters")
     t0 = time.perf_counter()
     if method == "classic":
         tree = kmb(instance)
     elif method == "exact":
         tree = dreyfus_wagner(instance)
     elif method == "agent":
-        if params is None:
-            raise ValueError("method 'agent' needs trained parameters")
         tree = greedy_rollout(instance, params)
     elif method == "active":
-        if params is None:
-            raise ValueError("method 'active' needs trained parameters")
         tree, _ = active_search(instance, params, active_budget, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -157,7 +151,7 @@ def _bench_one(args) -> list[BenchRow]:
 
 
 def run_bench(instances, methods, reference: str = "classic",
-              params: QNetParams | None = None, active_budget: int = 2000,
+              params: QNetParams | None = None, active_budget: int = ACTIVE_BUDGET,
               seed: int = 0, workers: int = 1) -> BenchReport:
     """Benchmark every method on every instance against one reference.
 

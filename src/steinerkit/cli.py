@@ -17,7 +17,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from types import GeneratorType
 
-from .bench import METHODS, REFERENCES, run_bench, solve_with_method
+from .bench import (
+    ACTIVE_BUDGET,
+    METHODS,
+    PARAM_METHODS,
+    REFERENCES,
+    run_bench,
+    solve_with_method,
+)
 from .generators import generate, parse_generator_spec
 from .qnet import load_checkpoint, save_checkpoint
 from .reductions import (
@@ -33,6 +40,7 @@ from .solvers import cost_ratio, dreyfus_wagner
 from .steinlib import edge_list_text, parse_steinlib_file, write_steinlib_file
 
 VALIDATION_SEED_OFFSET = 1_000_000
+SOURCE_HELP = ".stp file, directory of .stp files, or generator spec"
 
 # DdqnConfig fields settable from `train`, in --help order; each flag's
 # type and default are the field's own
@@ -84,10 +92,11 @@ def _config_from_args(args) -> DdqnConfig:
 
 
 def _require_checkpoint(args, methods):
-    if not any(m in ("agent", "active") for m in methods):
+    if not any(m in PARAM_METHODS for m in methods):
         return None
     if not args.checkpoint:
-        raise ValueError("methods 'agent' and 'active' need --checkpoint")
+        raise ValueError(f"methods {' and '.join(map(repr, PARAM_METHODS))} "
+                         f"need --checkpoint")
     return load_checkpoint(args.checkpoint)[0]
 
 
@@ -218,20 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steiner tree toolkit: solvers, training, benchmarks, reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    checkpoint_help = f"trained parameters ({'/'.join(PARAM_METHODS)})"
 
     p = sub.add_parser("solve", help="solve one instance with a chosen method")
-    p.add_argument("instance", help=".stp file or generator spec")
+    p.add_argument("instance", help=".stp file or generator spec (not a directory)")
     p.add_argument("--method", choices=METHODS, default="classic")
-    p.add_argument("--checkpoint", help="trained parameters (agent/active)")
+    p.add_argument("--checkpoint", help=checkpoint_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=2000,
+    p.add_argument("--rounds", type=int, default=ACTIVE_BUDGET,
                    help="active-search budget")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--tree-out", help="write the tree edge list here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("train", help="train the solver on generated instances")
-    p.add_argument("source", help="generator spec or directory of .stp files")
+    p = sub.add_parser("train", help="train the solver on an instance source")
+    p.add_argument("source", help=SOURCE_HELP)
     p.add_argument("--seed", type=int, default=0)
     defaults = DdqnConfig()
     for name in HYPER_FLAGS:
@@ -245,15 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="benchmark methods over an instance set")
-    p.add_argument("source", help="generator spec, .stp file, or directory")
+    p.add_argument("source", help=SOURCE_HELP)
     p.add_argument("--methods", default="classic,exact",
                    help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--reference", choices=REFERENCES, default="classic")
     p.add_argument("--trials", type=int, default=200,
-                   help="number of instances (for generator sources)")
-    p.add_argument("--checkpoint", help="trained parameters (agent/active)")
+                   help="how many instances to take from the source")
+    p.add_argument("--checkpoint", help=checkpoint_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=2000,
+    p.add_argument("--rounds", type=int, default=ACTIVE_BUDGET,
                    help="active-search budget")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timing", action="store_true",
@@ -266,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="DIMACS CNF / 'n m k' edges / triples file")
     p.add_argument("--check", action="store_true",
                    help="solve exactly and decode the witness")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output prefix (.stp + witness map)")
     p.set_defaults(func=cmd_reduce)
 

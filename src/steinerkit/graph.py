@@ -64,9 +64,6 @@ class WeightedGraph:
         """Sorted ``(neighbor, weight)`` pairs incident to ``v``."""
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def weight(self, u: int, v: int) -> float:
         """Weight of edge ``{u, v}``; raises ``KeyError`` if absent."""
         if u > v:
@@ -104,9 +101,6 @@ class WeightedGraph:
                     seen.add(v)
                     stack.append(v)
         return seen
-
-    def is_connected(self) -> bool:
-        return len(self.component_of(0)) == self.vertex_count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):

@@ -1,10 +1,12 @@
-"""Graph Q-network: encode / process / decode with explicit gradients.
+"""Graph Q-network: one forward pass, a decoder, explicit gradients.
 
-The network scores "add vertex v to the partial tree" actions.  Encoding
-mixes each vertex's tree-membership and terminal bits with its nearest-
-terminal distance features; processing runs one neighborhood-difference
-aggregation through a two-layer perceptron; decoding combines a pooled
-graph summary with the candidate vertex embedding into a scalar score.
+The network scores "add vertex v to the partial tree" actions.
+``forward`` encodes and processes: encoding mixes each vertex's
+tree-membership and terminal bits with its nearest-terminal distance
+features, and processing runs one neighborhood-difference aggregation
+through a two-layer perceptron.  Its ``ForwardCache`` keeps each stage's
+output.  ``q_values`` and ``grad`` then decode: a pooled graph summary and
+the candidate vertex embedding combine into a scalar score.
 
 Everything is plain numpy with a hand-written backward pass.  Batches are
 tiny (16) and graphs small (tens to hundreds of vertices), so dense
@@ -96,25 +98,6 @@ def _state_bits(s_bits, t_bits) -> np.ndarray:
     return st
 
 
-def encode(params: QNetParams, x, s_bits, t_bits) -> np.ndarray:
-    """Vertex embeddings from state bits and distance features."""
-    return _relu(_state_bits(s_bits, t_bits) @ params.theta1.T
-                 + np.asarray(x, dtype=float) @ params.theta2.T)
-
-
-def _process_layers(params: QNetParams, mu, adjacency, degrees):
-    """Processor activations (z, h, mu_p); backward needs all three."""
-    agg = degrees[:, None] * mu - adjacency @ mu
-    z = _relu(np.concatenate([mu, agg], axis=1))
-    h = _relu(z @ params.w1.T + params.b1)
-    return z, h, _relu(h @ params.w2.T + params.b2)
-
-
-def process(params: QNetParams, mu, adjacency, degrees) -> np.ndarray:
-    """One aggregation round: rectified [mu, neighborhood difference] through the MLP."""
-    return _process_layers(params, mu, adjacency, degrees)[2]
-
-
 def _decode(params: QNetParams, pooled, mu_c):
     """Decoder pre-activation, activation and value for candidate rows.
 
@@ -132,11 +115,6 @@ def _decode(params: QNetParams, pooled, mu_c):
     return qpre, qr, qr @ params.theta3
 
 
-def decode_q(params: QNetParams, mu_p, v: int) -> float:
-    """Scalar action value for adding vertex v, given processed embeddings."""
-    return float(_decode(params, mu_p.sum(axis=0), mu_p[v])[2])
-
-
 @dataclass
 class ForwardCache:
     """Post-activation arrays of one forward pass.
@@ -152,8 +130,17 @@ class ForwardCache:
 
 
 def forward(params: QNetParams, inp: NetInput) -> ForwardCache:
-    mu = encode(params, inp.x, inp.s_bits, inp.t_bits)
-    z, h, mu_p = _process_layers(params, mu, inp.adjacency, inp.degrees)
+    """Encoder, then one processor round; the cache keeps each activation.
+
+    ``mu`` embeds each vertex from its state bits and distance features;
+    ``mu_p`` is rectified [mu, neighborhood difference] through the MLP.
+    """
+    mu = _relu(_state_bits(inp.s_bits, inp.t_bits) @ params.theta1.T
+               + np.asarray(inp.x, dtype=float) @ params.theta2.T)
+    agg = inp.degrees[:, None] * mu - inp.adjacency @ mu
+    z = _relu(np.concatenate([mu, agg], axis=1))
+    h = _relu(z @ params.w1.T + params.b1)
+    mu_p = _relu(h @ params.w2.T + params.b2)
     return ForwardCache(mu=mu, z=z, h=h, mu_p=mu_p, pooled=mu_p.sum(axis=0))
 
 

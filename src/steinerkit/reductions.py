@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import StpInstance, WeightedGraph
-from .solvers import SteinerTree
 
 
 def _integer(tok: str, lineno: int) -> int:
@@ -112,6 +111,7 @@ class ReductionOutput:
     roles: dict[int, str] = field(repr=False)
 
     def decode_witness(self, tree):
+        """The source certificate a ``SteinerTree`` on ``instance`` encodes."""
         raise NotImplementedError
 
     def verify_witness(self, witness) -> bool:
@@ -129,12 +129,6 @@ class ReductionOutput:
         }
 
 
-def _tree_vertices(tree) -> frozenset[int]:
-    if isinstance(tree, SteinerTree):
-        return tree.vertices
-    return frozenset(int(v) for v in tree)
-
-
 @dataclass(frozen=True)
 class SatReduction(ReductionOutput):
     n_vars: int = 0
@@ -143,8 +137,7 @@ class SatReduction(ReductionOutput):
 
     def decode_witness(self, tree) -> list[bool]:
         """Assignment: variable i is True when its positive-literal vertex is used."""
-        verts = _tree_vertices(tree)
-        return [self.lit_vertex[i + 1] in verts for i in range(self.n_vars)]
+        return [self.lit_vertex[i + 1] in tree.vertices for i in range(self.n_vars)]
 
     def verify_witness(self, witness) -> bool:
         if len(witness) != self.n_vars:
@@ -229,8 +222,7 @@ class MvcReduction(ReductionOutput):
 
     def decode_witness(self, tree) -> list[int]:
         """Cover: source vertices whose stand-ins the tree passes through."""
-        verts = _tree_vertices(tree)
-        return sorted(v for v, sv in self.vertex_vertex.items() if sv in verts)
+        return sorted(v for v, sv in self.vertex_vertex.items() if sv in tree.vertices)
 
     def verify_witness(self, witness) -> bool:
         cover = set(witness)
@@ -315,8 +307,7 @@ class X3cReduction(ReductionOutput):
 
     def decode_witness(self, tree) -> list[int]:
         """Chosen triples: those whose stand-ins the tree passes through."""
-        verts = _tree_vertices(tree)
-        return sorted(j for j, sv in self.triple_vertex.items() if sv in verts)
+        return sorted(j for j, sv in self.triple_vertex.items() if sv in tree.vertices)
 
     def verify_witness(self, witness) -> bool:
         covered: set[int] = set()

@@ -317,11 +317,6 @@ def train_step(buffer: ReplayBuffer, env_params: QNetParams,
     return total_loss / config.batch
 
 
-def sync_target(env_params: QNetParams) -> QNetParams:
-    """Deep snapshot; later updates to the live params leave it untouched."""
-    return env_params.copy()
-
-
 @dataclass
 class Learner:
     """What an episode learns into: replay, the frozen target, step count."""
@@ -335,7 +330,7 @@ class Learner:
     def fresh(cls, params: QNetParams, config: DdqnConfig, buffer_seed) -> "Learner":
         """Empty replay sampled under ``buffer_seed``; the target copies params."""
         rng = np.random.default_rng(np.random.PCG64(buffer_seed))
-        return cls(ReplayBuffer(config.replay_cap, rng), sync_target(params), config)
+        return cls(ReplayBuffer(config.replay_cap, rng), params.copy(), config)
 
     def observe(self, params: QNetParams, transition: Transition) -> float | None:
         """Record a transition; once replay is warm, take one SGD step on
@@ -347,7 +342,7 @@ class Learner:
         loss = train_step(self.buffer, params, self.target, cfg)
         self.steps += 1
         if self.steps % cfg.target_sync == 0:
-            self.target = sync_target(params)
+            self.target = params.copy()
         return loss
 
 

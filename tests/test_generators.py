@@ -36,7 +36,7 @@ class TestGenerate:
                                   weight_range=(1, 5), seed=seed)
             inst = generate(cfg)
             assert inst.graph.vertex_count == 24
-            assert inst.graph.is_connected()
+            assert inst.graph.component_of(0) == set(range(24))
             assert len(inst.terminals) >= 2
             for _, _, w in inst.graph.edges:
                 assert 1 <= w <= 5 and w == int(w)

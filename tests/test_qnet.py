@@ -12,13 +12,10 @@ from oracles import (
 from steinerkit.qnet import (
     NetInput,
     QNetParams,
-    decode_q,
-    encode,
     forward,
     grad,
     init_params,
     load_checkpoint,
-    process,
     q_values,
     save_checkpoint,
     sgd_step,
@@ -90,36 +87,48 @@ class TestInit:
         assert a.theta1[0, 0] != b.theta1[0, 0]
 
 
+def single_vertex_input(x: float, s_bit: float, t_bit: float) -> NetInput:
+    return NetInput(x=np.array([[x]]), s_bits=np.array([s_bit]),
+                    t_bits=np.array([t_bit]), adjacency=np.zeros((1, 1)),
+                    degrees=np.zeros(1))
+
+
+def edge_input() -> NetInput:
+    """Two in-tree vertices joined by one edge, with features 0.5 and 2, so
+    the hand encoder gives mu = [1 + 2*0.5, 1 + 2*2] = [2, 5]."""
+    adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return NetInput(x=np.array([[0.5], [2.0]]), s_bits=np.ones(2),
+                    t_bits=np.zeros(2), adjacency=adjacency,
+                    degrees=adjacency.sum(axis=1))
+
+
 class TestForwardFixtures:
     def test_encoder_hand_value(self):
         # relu(1*1 + 1*0 + 2*0.5) = 2
-        p = hand_params_p1()
-        mu = encode(p, x=np.array([[0.5]]), s_bits=np.array([1.0]),
-                    t_bits=np.array([0.0]))
+        mu = forward(hand_params_p1(), single_vertex_input(0.5, 1.0, 0.0)).mu
         assert mu.shape == (1, 1)
         assert mu[0, 0] == 2.0
 
     def test_encoder_negative_preactivation_clamps(self):
-        p = hand_params_p1()
-        mu = encode(p, x=np.array([[-3.0]]), s_bits=np.array([0.0]),
-                    t_bits=np.array([0.0]))
+        mu = forward(hand_params_p1(), single_vertex_input(-3.0, 0.0, 0.0)).mu
         assert mu[0, 0] == 0.0
 
     def test_processor_hand_value(self):
         # two connected vertices with mu = [2, 5]:
         # diffs are -3 and +3; z = relu([mu, diff]); through both layers
-        p = hand_params_p1()
-        adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mu = np.array([[2.0], [5.0]])
-        out = process(p, mu, adjacency, adjacency.sum(axis=1))
-        assert out[0, 0] == pytest.approx(3.5)
-        assert out[1, 0] == pytest.approx(12.5)
+        cache = forward(hand_params_p1(), edge_input())
+        assert cache.mu[:, 0].tolist() == [2.0, 5.0]
+        assert cache.mu_p[0, 0] == pytest.approx(3.5)
+        assert cache.mu_p[1, 0] == pytest.approx(12.5)
 
     def test_decoder_hand_value(self):
-        # pooled sum is 0 -> left arm rectifies to 0; right arm 2*2=4
+        # mu_p = [3.5, 12.5] pools to 16; the left arm is relu(0.5*16) = 8,
+        # the right arm relu(2*mu_p[v]) = 7 and 25
         p = hand_params_p1()
-        mu_p = np.array([[1.0], [2.0], [-3.0]])
-        assert decode_q(p, mu_p, v=1) == pytest.approx(-4.0)
+        assert q_values(p, edge_input()).tolist() == [1.0, -17.0]
+        # a negative pooled mix rectifies the left arm to 0
+        p.theta4 = np.array([[-0.5]])
+        assert q_values(p, edge_input()).tolist() == [-7.0, -25.0]
 
     def test_q_values_single_vertex_graph(self):
         params = init_params(4, 2, seed=3)
@@ -154,19 +163,6 @@ class TestAgainstScalarOracle:
             params = init_params(8, 2, seed=trial)
             q = q_values(params, make_input(rng))
             assert np.isfinite(q).all()
-
-    def test_forward_runs_the_stage_functions(self):
-        rng = np.random.default_rng(8)
-        for trial in range(5):
-            params = init_params(6, 2, seed=trial)
-            inp = make_input(rng)
-            mu = encode(params, inp.x, inp.s_bits, inp.t_bits)
-            mu_p = process(params, mu, inp.adjacency, inp.degrees)
-            assert np.array_equal(forward(params, inp).mu_p, mu_p)
-            # one row at a time may round differently from the batched product
-            q = q_values(params, inp)
-            assert [decode_q(params, mu_p, v) for v in range(len(q))] == \
-                pytest.approx(list(q), rel=1e-12, abs=1e-12)
 
 
 class TestPermutationEquivariance:

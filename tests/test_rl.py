@@ -28,7 +28,6 @@ from steinerkit.rl import (
     reset,
     select_action,
     step,
-    sync_target,
     train,
     train_step,
     write_curve_csv,
@@ -62,7 +61,7 @@ def record_only_learner(buf, params):
     """A learner whose warm-up outlasts its buffer: it only records."""
     cfg = DdqnConfig(p_dim=params.p_dim, k=params.k,
                      warmup_batches=buf.capacity + 1)
-    return Learner(buf, sync_target(params), cfg)
+    return Learner(buf, params.copy(), cfg)
 
 
 @st.composite
@@ -367,7 +366,7 @@ class TestTrainStep:
         buf.push(tr)
         cfg = DdqnConfig(p_dim=2, k=2, batch=1, lr=0.5, rounds=1)
         frozen = {n: a.copy() for n, a in params.as_dict().items()}
-        loss = train_step(buf, params, sync_target(params), cfg)
+        loss = train_step(buf, params, params.copy(), cfg)
         # q_values and grad's forward may differ in the last float ulp
         assert loss < 1e-25
         for name, arr in params.as_dict().items():
@@ -380,7 +379,7 @@ class TestTrainStep:
         instance_static.cache_clear()
         info = instance_static.cache_info()
         cfg = DdqnConfig(p_dim=2, k=2, batch=len(buf), rounds=1)
-        train_step(buf, params, sync_target(params), cfg)
+        train_step(buf, params, params.copy(), cfg)
         assert instance_static.cache_info() == info
 
     def test_loss_falls_on_frozen_buffer(self):
@@ -389,7 +388,7 @@ class TestTrainStep:
         self.fill_buffer(buf, params)
         cfg = DdqnConfig(p_dim=4, k=2, batch=len(buf), lr=1e-2, gamma=0.0,
                          rounds=1)
-        target = sync_target(params)
+        target = params.copy()
         first = train_step(buf, params, target, cfg)
         for _ in range(30):
             last = train_step(buf, params, target, cfg)
@@ -397,7 +396,7 @@ class TestTrainStep:
 
     def test_sync_target_is_isolated_copy(self):
         params = init_params(2, 2, seed=0)
-        target = sync_target(params)
+        target = params.copy()
         g = zero_like(params)
         g["theta1"][:] = 1.0
         sgd_step(params, g, lr=1.0)
@@ -423,7 +422,7 @@ class TestPlayEpisode:
     def test_buffer_receives_every_transition(self):
         buf = ReplayBuffer(100, np.random.default_rng(0))
         params = init_params(2, 2, seed=0)
-        learner = Learner(buf, sync_target(params),
+        learner = Learner(buf, params.copy(),
                           DdqnConfig(p_dim=2, k=2, warmup_batches=101))
         state, losses = play_episode(REWARD_INSTANCE, params, 0.0,
                                      np.random.default_rng(0), learner=learner)
@@ -445,7 +444,7 @@ class TestPlayEpisode:
         params = init_params(2, 2, seed=0)
         cfg = DdqnConfig(p_dim=2, k=2, batch=2, warmup_batches=1, target_sync=2)
         learner = Learner(ReplayBuffer(100, np.random.default_rng(0)),
-                          sync_target(params), cfg)
+                          params.copy(), cfg)
         rng = np.random.default_rng(3)
         total = 0
         for _ in range(4):
