@@ -155,12 +155,15 @@ def run_bench(instances, methods, reference: str = "classic",
               seed: int = 0, workers: int = 1) -> BenchReport:
     """Benchmark every method on every instance against one reference.
 
-    ``workers`` > 1 fans instances out over processes; row order is by
-    instance then method either way, so reports don't depend on scheduling.
+    ``workers`` must be at least 1; more fan instances out over processes.
+    Row order is by instance then method either way, so reports don't
+    depend on scheduling.
     Instances over the exact solver's terminal cap, and instances whose
     reference cost is 0 so that no ratio is defined, are rejected up front,
     all in one error per cause, before any solver runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     instances = list(instances)
     for m in methods:
         if m not in METHODS:

@@ -216,11 +216,13 @@ def parse_generator_spec(spec: str, seed: int = 0) -> GeneratorConfig:
 
     Keys: n (vertices), m (terminal ratio), w (weight range lo:hi),
     d (RR degree), p (ER probability), k/beta (WS parameters).  A value
-    that does not parse raises a ``ValueError`` naming its key and the spec.
+    that does not parse, or a key given twice, raises a ``ValueError`` naming
+    the key and the spec.
     """
     model, _, rest = spec.partition(":")
     model = model.strip().lower()
     kwargs: dict = {"model": model, "seed": seed, "n": 30}
+    seen = set()
     if rest:
         for item in rest.split(","):
             if not item.strip():
@@ -229,6 +231,9 @@ def parse_generator_spec(spec: str, seed: int = 0) -> GeneratorConfig:
             key = key.strip().lower()
             if key not in _SPEC_KEYS:
                 raise ValueError(f"unknown generator key {key!r} in {spec!r}")
+            if key in seen:
+                raise ValueError(f"generator key {key!r} is repeated in {spec!r}")
+            seen.add(key)
             field, parse = _SPEC_KEYS[key]
             try:
                 kwargs[field] = parse(val.strip())

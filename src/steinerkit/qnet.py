@@ -230,28 +230,41 @@ def save_checkpoint(params: QNetParams, path, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[QNetParams, dict]:
-    """Read a checkpoint; every tensor must be present, finite and shaped
-    as the ``p_dim``/``k`` header says, else ValueError names the tensor."""
+    """Read a checkpoint; every tensor must be present, numeric, finite and
+    shaped as the ``p_dim``/``k`` header says, else ValueError names the
+    tensor.  Any other JSON shape is a ValueError too."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     p, k = payload.get("p_dim"), payload.get("k")
-    if not (isinstance(p, int) and isinstance(k, int) and p >= 1 and k >= 1):
+    # type(...) is int: JSON true/false are bools, which isinstance takes for ints
+    if not all(type(v) is int and v >= 1 for v in (p, k)):
         raise ValueError(f"checkpoint header needs positive integers p_dim and k, "
                          f"got {p!r} and {k!r}")
-    raw = payload.get("params", {})
+    raw, meta = payload.get("params", {}), payload.get("meta", {})
+    for field, value in (("params", raw), ("meta", meta)):
+        if not isinstance(value, dict):
+            raise ValueError(f"checkpoint {field} must be an object, "
+                             f"got {type(value).__name__}")
     arrays = {}
     for name, (shape, _) in _param_table(p, k).items():
         if name not in raw:
             raise ValueError(f"checkpoint is missing tensor {name}")
-        arr = np.asarray(raw[name], dtype=float)
+        try:  # numpy raises ValueError itself on ragged nesting
+            arr = np.asarray(raw[name])
+            if arr.dtype.kind not in "iuf":
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"checkpoint tensor {name} is not an array of numbers") from None
+        arr = arr.astype(float, copy=False)
         if arr.shape != shape:
             raise ValueError(f"checkpoint header (p_dim={p}, k={k}) disagrees with "
                              f"tensor {name}: shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint tensor {name} holds non-finite values")
         arrays[name] = arr
-    return QNetParams(**arrays), payload.get("meta", {})
+    return QNetParams(**arrays), meta

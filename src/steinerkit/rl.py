@@ -48,8 +48,18 @@ class InstanceStatic:
     bonus_c: float
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def instance_static(instance: StpInstance) -> InstanceStatic:
+    """The episode constants of ``instance``: its terminal distance table
+    and feature scale, terminal indicator and index, adjacency and degrees,
+    and the terminal bonus (the mean edge weight).
+
+    Only the instance being played is kept.  Every repeated lookup follows
+    the one before it (a rollout's starts, active search's rounds, one
+    instance's bench methods), and the costly tables live on the instance
+    and its graph (``terminal_paths``, ``adjacency_matrix``), so a miss
+    recomputes only the cheap vectors and a dead instance is not held.
+    """
     table = terminal_distance_matrix(instance)
     adjacency = instance.graph.adjacency_matrix()
     t_bits = np.zeros(instance.graph.vertex_count)

@@ -229,6 +229,11 @@ class TestRunBench:
             run_bench(insts, ("classic", "exact"), reference=reference)
         assert calls == []
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            run_bench(instances(1, n=8), ("classic",), workers=workers)
+
     def test_parallel_matches_serial(self):
         insts = instances(3, n=8)
         params = init_params(2, 2, seed=1)

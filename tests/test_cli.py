@@ -97,6 +97,31 @@ class TestSolve:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_repeated_spec_key_is_a_named_error(self, capsys):
+        rc = main(["solve", "rr:n=5,n=6"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: generator key 'n' is repeated in 'rr:n=5,n=6'\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: [], "not a qnet-checkpoint file"),
+        (lambda payload: {**payload, "params": []}, "params must be an object"),
+        (lambda payload: {**payload, "p_dim": True}, "positive integers p_dim and k"),
+        (lambda payload: {**payload, "k": False}, "positive integers p_dim and k"),
+        (lambda payload: {**payload, "params": {**payload["params"], "b1": "x"}},
+         "tensor b1 is not an array of numbers"),
+    ], ids=["top-level-list", "params-list", "p_dim-true", "k-false", "tensor-string"])
+    def test_malformed_checkpoint_is_a_named_error(self, tiny_checkpoint, capsys,
+                                                   edit, message):
+        payload = json.loads(tiny_checkpoint.read_text())
+        tiny_checkpoint.write_text(json.dumps(edit(payload)))
+        rc = main(["solve", "rr:n=12", "--method", "agent",
+                   "--checkpoint", str(tiny_checkpoint)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_method_rejected_by_parser(self, diamond_file):
         with pytest.raises(SystemExit):
             main(["solve", str(diamond_file), "--method", "psychic"])
@@ -220,6 +245,15 @@ class TestBench:
         rc = main([command, GEN_SPEC, flag, "-1"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {flag} must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, workers):
+        rc = main(["bench", "rr:n=20", "--trials", "2", "--workers", workers,
+                   "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "b.csv").exists()
 
     def test_empty_methods_rejected(self, capsys):
         rc = main(["bench", GEN_SPEC, "--methods", " , "])

@@ -151,6 +151,13 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="unknown generator key"):
             parse_generator_spec("rr:n=10,zzz=3")
 
+    @pytest.mark.parametrize("spec, key", [("rr:n=5,n=6", "n"), ("rr:N=5,n=5", "n"),
+                                           ("er:p=0.2,w=1:3,p=0.4", "p")])
+    def test_repeated_key_names_key_and_spec(self, spec, key):
+        with pytest.raises(ValueError) as info:
+            parse_generator_spec(spec)
+        assert str(info.value) == f"generator key {key!r} is repeated in {spec!r}"
+
     @pytest.mark.parametrize("spec, key", [("rr:n", "n"), ("rr:n=x", "n"),
                                            ("rr:w=a:3", "w"), ("rr:w=1:b", "w"),
                                            ("er:n=20,p=high", "p")])

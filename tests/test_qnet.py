@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracles import (
     finite_difference_grads,
     max_relative_error,
@@ -20,6 +22,13 @@ from steinerkit.qnet import (
     save_checkpoint,
     sgd_step,
     zero_like,
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
 )
 
 
@@ -320,3 +329,60 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="p_dim and k"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("top", [[], "qnet-checkpoint", 3, None])
+    def test_rejects_top_level_that_is_not_an_object(self, tmp_path, top):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="not a qnet-checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["params", "meta"])
+    @pytest.mark.parametrize("value", [[], "w1", 7, None])
+    def test_rejects_params_or_meta_that_is_not_an_object(self, tmp_path, field, value):
+        path, payload = self.saved_payload(tmp_path)
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{field} must be an object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["version", "p_dim", "k"])
+    def test_rejects_boolean_header(self, tmp_path, field):
+        # version 1, p_dim 1 and k 1: JSON true must not pass for any of them
+        path = tmp_path / "net.json"
+        save_checkpoint(init_params(1, 1, seed=0), path)
+        payload = json.loads(path.read_text())
+        load_checkpoint(path)
+        payload[field] = True
+        path.write_text(json.dumps(payload))
+        message = "version" if field == "version" else "p_dim and k"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor", [["0.5", "0.5"], [True, False], [None, 1.0],
+                                        [[0.5], [0.5, 0.5]], {"0": 0.5}])
+    def test_rejects_non_numeric_tensor(self, tmp_path, tensor):
+        path, payload = self.saved_payload(tmp_path)
+        payload["params"]["b1"] = tensor
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tensor b1 is not an array of numbers"):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_json_loads_or_raises_value_error(self, tmp_path, data):
+        path, payload = self.saved_payload(tmp_path)
+        if data.draw(st.booleans()):
+            doc = data.draw(JSON_VALUES)
+        else:  # a saved checkpoint with one field or tensor replaced
+            names = [*payload, *(f"params.{t}" for t in payload["params"])]
+            where = data.draw(st.sampled_from(names))
+            holder = payload["params"] if where.startswith("params.") else payload
+            holder[where.removeprefix("params.")] = data.draw(JSON_VALUES)
+            doc = payload
+        path.write_text(json.dumps(doc))
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass

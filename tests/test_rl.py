@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +118,27 @@ class TestInstanceStatic:
         assert sorted(calls) == inst.terminal_list
         # the feature table is a view of the instance's own distances
         assert np.shares_memory(st.table, inst.terminal_paths[0])
+
+    def test_instance_played_before_is_released(self):
+        a, b = small_instance(seed=31), small_instance(seed=32)
+        assert a != b
+        gone = weakref.ref(a)
+        reset(a)
+        reset(b)
+        del a
+        gc.collect()
+        assert gone() is None
+
+    def test_rollout_and_active_search_miss_once(self):
+        params = init_params(4, 2, seed=0)
+        inst = small_instance(seed=33)
+        t = len(inst.terminals)
+        instance_static.cache_clear()
+        greedy_rollout(inst, params)
+        assert instance_static.cache_info() == (t - 1, 1, 1, 1)
+        # the first rollout, 60 rounds and one periodic rollout: no new miss
+        active_search(inst, params, budget_rounds=60, seed=1)
+        assert instance_static.cache_info() == (t - 1 + t + 60 + t, 1, 1, 1)
 
 
 class TestReset:
