@@ -107,10 +107,9 @@ class TestSolve:
         (lambda payload: [], "not a qnet-checkpoint file"),
         (lambda payload: {**payload, "params": []}, "params must be an object"),
         (lambda payload: {**payload, "p_dim": True}, "positive integers p_dim and k"),
-        (lambda payload: {**payload, "k": False}, "positive integers p_dim and k"),
         (lambda payload: {**payload, "params": {**payload["params"], "b1": "x"}},
          "tensor b1 is not an array of numbers"),
-    ], ids=["top-level-list", "params-list", "p_dim-true", "k-false", "tensor-string"])
+    ], ids=["top-level-list", "params-list", "p_dim-true", "tensor-string"])
     def test_malformed_checkpoint_is_a_named_error(self, tiny_checkpoint, capsys,
                                                    edit, message):
         payload = json.loads(tiny_checkpoint.read_text())
