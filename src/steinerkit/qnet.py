@@ -230,9 +230,10 @@ def save_checkpoint(params: QNetParams, path, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[QNetParams, dict]:
-    """Read a checkpoint; every tensor must be present, numeric, finite and
-    shaped as the ``p_dim``/``k`` header says, else ValueError names the
-    tensor.  Any other JSON shape is a ValueError too."""
+    """Read a checkpoint; every tensor must be present, a nesting of JSON
+    numbers (no booleans), finite and shaped as the ``p_dim``/``k`` header
+    says, else ValueError names the tensor.  Any other JSON shape is a
+    ValueError too."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -254,17 +255,20 @@ def load_checkpoint(path) -> tuple[QNetParams, dict]:
     for name, (shape, _) in _param_table(p, k).items():
         if name not in raw:
             raise ValueError(f"checkpoint is missing tensor {name}")
-        try:  # numpy raises ValueError itself on ragged nesting
-            arr = np.asarray(raw[name])
-            if arr.dtype.kind not in "iuf":
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"checkpoint tensor {name} is not an array of numbers") from None
-        arr = arr.astype(float, copy=False)
-        if arr.shape != shape:
+        # as objects, a ragged nesting keeps lists as leaves and JSON
+        # true/false stay bools, so the leaf types alone decide
+        leaves = np.asarray(raw[name], dtype=object)
+        if not all(type(v) in (int, float) for v in leaves.flat):
+            raise ValueError(f"checkpoint tensor {name} is not an array of numbers")
+        if leaves.shape != shape:
             raise ValueError(f"checkpoint header (p_dim={p}, k={k}) disagrees with "
-                             f"tensor {name}: shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
+                             f"tensor {name}: shape {leaves.shape}, expected {shape}")
+        try:  # an integer past the float range overflows
+            arr = leaves.astype(float)
+            finite = bool(np.all(np.isfinite(arr)))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"checkpoint tensor {name} holds non-finite values")
         arrays[name] = arr
     return QNetParams(**arrays), meta

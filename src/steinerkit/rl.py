@@ -54,11 +54,13 @@ def instance_static(instance: StpInstance) -> InstanceStatic:
     and feature scale, terminal indicator and index, adjacency and degrees,
     and the terminal bonus (the mean edge weight).
 
-    Only the instance being played is kept.  Every repeated lookup follows
-    the one before it (a rollout's starts, active search's rounds, one
-    instance's bench methods), and the costly tables live on the instance
-    and its graph (``terminal_paths``, ``adjacency_matrix``), so a miss
-    recomputes only the cheap vectors and a dead instance is not held.
+    Only the instance being played is kept, so a dead instance is not held.
+    A rollout's starts, active search's rounds and one instance's bench
+    methods look it up back to back and miss once per instance.  ``train``
+    misses every round: a generator stream never repeats an instance, and
+    a cycled file or directory repeats one only after all the others.  The
+    costly tables live on the instance and its graph (``terminal_paths``,
+    ``adjacency_matrix``), so a miss recomputes only the cheap vectors.
     """
     table = terminal_distance_matrix(instance)
     adjacency = instance.graph.adjacency_matrix()

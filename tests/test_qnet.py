@@ -360,13 +360,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("tensor", [["0.5", "0.5"], [True, False], [None, 1.0],
-                                        [[0.5], [0.5, 0.5]], {"0": 0.5}])
+    @pytest.mark.parametrize("tensor", [["0.5", "0.5"], [True, False], [0.5, True],
+                                        [None, 1.0], [[0.5], [0.5, 0.5]], {"0": 0.5}])
     def test_rejects_non_numeric_tensor(self, tmp_path, tensor):
         path, payload = self.saved_payload(tmp_path)
         payload["params"]["b1"] = tensor
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="tensor b1 is not an array of numbers"):
+            load_checkpoint(path)
+
+    def test_integers_past_uint64_are_numbers(self, tmp_path):
+        path, payload = self.saved_payload(tmp_path)
+        payload["params"]["b1"] = [10**20, 1]
+        path.write_text(json.dumps(payload))
+        assert load_checkpoint(path)[0].b1.tolist() == [1e20, 1.0]
+        payload["params"]["b1"] = [10**400, 1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tensor b1 holds non-finite"):
             load_checkpoint(path)
 
     @settings(max_examples=200, deadline=None,
