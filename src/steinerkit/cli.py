@@ -140,14 +140,15 @@ def cmd_train(args) -> int:
 
     if args.sweep:
         field = args.sweep
-        for value in SWEEPS[field]:
-            cfg = replace(_config_from_args(args), **{field: value})
+        # every value's config is checked before any of them trains
+        configs = [replace(_config_from_args(args), **{field: v}) for v in SWEEPS[field]]
+        for value, cfg in zip(SWEEPS[field], configs):
             stream = _training_stream(args.source, cfg.seed)
             _, curve = train(stream, cfg, validation_instances=validation)
             tag = f"{value:g}" if isinstance(value, float) else str(value)
             write_curve_csv(curve, f"{out}.sweep-{field}-{tag}.curve.csv")
-            print(f"sweep {field}={tag}: final episode cost "
-                  f"{curve[-1].episode_cost:g}", file=sys.stderr)
+            final = f"{curve[-1].episode_cost:g}" if curve else "none (0 rounds)"
+            print(f"sweep {field}={tag}: final episode cost {final}", file=sys.stderr)
         return 0
 
     cfg = _config_from_args(args)
@@ -211,9 +212,7 @@ def cmd_reduce(args) -> int:
             "witness_ok": bool(red.verify_witness(witness)) if yes else None,
         }
 
-    with open(f"{out}.witness.json", "w") as fh:
-        json.dump(witness_map, fh, indent=1)
-        fh.write("\n")
+    Path(f"{out}.witness.json").write_text(json.dumps(witness_map, indent=1) + "\n")
     print(f"wrote {stp_path}; bound = {red.bound:g}")
     if args.check:
         verdict = "YES" if witness_map["check"]["yes_instance"] else "NO"

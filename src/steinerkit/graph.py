@@ -21,7 +21,7 @@ class WeightedGraph:
     and are safe to share between workers.
     """
 
-    __slots__ = ("vertex_count", "edges", "_adj", "_weights", "_adj_matrix")
+    __slots__ = ("vertex_count", "edges", "_adj", "_weights", "_adj_matrix", "_hash")
 
     def __init__(self, vertex_count: int, edges) -> None:
         if vertex_count < 1:
@@ -55,6 +55,7 @@ class WeightedGraph:
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._weights = weights
         self._adj_matrix: np.ndarray | None = None
+        self._hash: int | None = None
 
     @property
     def edge_count(self) -> int:
@@ -108,7 +109,10 @@ class WeightedGraph:
         return self.vertex_count == other.vertex_count and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        # O(|E|), so hashed once: the graph never changes
+        if self._hash is None:
+            self._hash = hash((self.vertex_count, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeightedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"

@@ -64,10 +64,9 @@ def instance_static(instance: StpInstance) -> InstanceStatic:
     """
     table = terminal_distance_matrix(instance)
     adjacency = instance.graph.adjacency_matrix()
-    t_bits = np.zeros(instance.graph.vertex_count)
     terms = instance.terminal_list
-    for t in terms:
-        t_bits[t] = 1.0
+    t_bits = np.zeros(instance.graph.vertex_count)
+    t_bits[terms] = 1.0
     return InstanceStatic(
         table=table,
         scale=feature_scale(table),
@@ -289,16 +288,25 @@ class DdqnConfig:
     validation_every: int = 500
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for name in ("p_dim", "k", "batch", "target_sync", "replay_cap",
                      "warmup_batches", "validation_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
+        if self.replay_cap < self.warm_replay:
+            raise ValueError(f"replay_cap {self.replay_cap} is below the {self.warm_replay} "
+                             f"transitions replay holds before its first step")
+
+    @property
+    def warm_replay(self) -> int:
+        """Transitions replay holds before the first SGD step: warmup_batches x batch."""
+        return self.warmup_batches * self.batch
 
 
 def epsilon_at(config: DdqnConfig, round_idx: int) -> float:
@@ -349,7 +357,7 @@ class Learner:
         ``params`` (returning its loss) and re-sync the target on schedule."""
         self.buffer.push(transition)
         cfg = self.config
-        if len(self.buffer) < max(cfg.warmup_batches * cfg.batch, cfg.batch):
+        if len(self.buffer) < cfg.warm_replay:
             return None
         loss = train_step(self.buffer, params, self.target, cfg)
         self.steps += 1

@@ -93,19 +93,10 @@ def verify_tree(instance: StpInstance, edges) -> SteinerTree:
         return SteinerTree(edges=(), cost=0.0, vertices=frozenset(instance.terminals))
 
     vertices = {u for u, _, _ in triples} | {v for _, v, _ in triples}
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    join = _union_find()
     for u, v, _ in triples:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not join(u, v):
             raise TreeVerificationError(f"cycle found when adding edge ({u},{v})")
-        parent[ru] = rv
     if len(triples) != len(vertices) - 1:
         raise TreeVerificationError("edge set is disconnected")
     uncovered = sorted(t for t in instance.terminals if t not in vertices)
@@ -137,10 +128,7 @@ def prune(tree: SteinerTree, terminals) -> SteinerTree:
         del adj[nbr][leaf]
         if len(adj[nbr]) == 1 and nbr not in terminals:
             queue.append(nbr)
-    kept = []
-    for u, v, w in tree.edges:
-        if u in adj and v in adj[u]:
-            kept.append((u, v, w))
+    kept = [(u, v, w) for u, v, w in tree.edges if u in adj and v in adj[u]]
     cost = float(sum(w for _, _, w in kept))
     vertices = frozenset(adj) if kept else frozenset(sorted(terminals)[:1])
     return SteinerTree(edges=tuple(sorted(kept)), cost=cost, vertices=vertices)
@@ -165,12 +153,8 @@ def kmb(instance: StpInstance) -> SteinerTree:
 
     closure_mst = _kruskal(closure)
 
-    sub_edges: set[tuple[int, int, float]] = set()
-    for i, j in closure_mst:
-        path = reconstruct_path(parent[i], terms[i], terms[j])
-        for u, v in zip(path, path[1:]):
-            uu, vv = (u, v) if u < v else (v, u)
-            sub_edges.add((uu, vv, instance.graph.weight(uu, vv)))
+    sub_edges = set().union(*(_path_edges(instance.graph, parent[i], terms[i], terms[j])
+                              for i, j in closure_mst))
 
     sub_mst = _kruskal([(w, u, v) for u, v, w in sub_edges])
     tree = verify_tree(instance, sub_mst)
@@ -179,6 +163,13 @@ def kmb(instance: StpInstance) -> SteinerTree:
 
 def _kruskal(weighted_edges) -> list[tuple[int, int]]:
     """MST edge pairs via Kruskal over (weight, u, v)-sorted candidates."""
+    join = _union_find()
+    return [(u, v) for _, u, v in sorted(weighted_edges) if join(u, v)]
+
+
+def _union_find():
+    """``join(u, v)`` over a fresh union-find: merges the sets of ``u`` and
+    ``v`` and says whether they were apart (False means the pair closes a cycle)."""
     parent: dict[int, int] = {}
 
     def find(x):
@@ -188,23 +179,29 @@ def _kruskal(weighted_edges) -> list[tuple[int, int]]:
             x = parent[x]
         return x
 
-    picked = []
-    for w, u, v in sorted(weighted_edges):
+    def join(u, v) -> bool:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            picked.append((u, v))
-    return picked
+        parent[ru] = rv
+        return ru != rv
+
+    return join
 
 
-def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) -> SteinerTree:
+def _path_edges(graph, parent, source: int, target: int) -> set[tuple[int, int, float]]:
+    """Canonical ``(u, v, w)`` edges of the shortest path from ``source`` to
+    ``target`` along the Dijkstra parent row ``parent`` of ``source``."""
+    path = reconstruct_path(parent, source, target)
+    return {(min(u, v), max(u, v), graph.weight(u, v)) for u, v in zip(path, path[1:])}
+
+
+def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     """Exact minimum Steiner tree via the terminal-subset dynamic program.
 
     State: dp[mask][v] = cheapest tree spanning {v} and the terminals in
     ``mask`` (bitmask over all terminals except a fixed root).  Each mask
     is solved by merging two sub-splits at a common vertex, then relaxing
     through the all-pairs shortest-path metric.  O(3^t n + 2^t n^2) time,
-    exponential only in the terminal count, hence the cap.
+    exponential only in the terminal count, hence ``DW_TERMINAL_CAP``.
 
     Masks are solved one popcount level at a time, since a mask depends
     only on smaller ones.  Each level builds one table of its splits
@@ -212,27 +209,24 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     then relaxes it in blocks of masks.  Every rectangle and block holds at
     most ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the
     relaxation sums reuse two buffers of that size); past the ``(2^t, n)``
-    tables and the ``n x n`` metric, the largest arrays are one level's
-    split table and merge result.  The tables keep 12 bytes per entry: the
-    cost and the relaxation's source vertex.  The merge keeps only its
-    minimum; reconstruction recomputes the split at each vertex it visits
-    (see ``_dw_split``).  Ties resolve as a scalar loop would: the first
-    split in descending submask order and the lowest relaxation vertex win.
+    table and the ``n x n`` metric, the largest arrays are one level's
+    split table and merge result.  The table keeps 8 bytes per entry, the
+    cost alone: reconstruction recovers the relaxation vertex and the
+    split at each ``(mask, vertex)`` it visits (``_dw_backtrack``).  Ties
+    resolve as a scalar loop would: the lowest relaxation vertex and the
+    first split in descending submask order win.
     """
     terms = instance.terminal_list
-    if len(terms) > max_terminals:
+    if len(terms) > DW_TERMINAL_CAP:
         raise ValueError(
-            f"{len(terms)} terminals exceed the exact-solver cap of {max_terminals}"
+            f"{len(terms)} terminals exceed the exact-solver cap of {DW_TERMINAL_CAP}"
         )
     if len(terms) == 1:
         return verify_tree(instance, ())
 
     g = instance.graph
     n = g.vertex_count
-    dist, parents = all_pairs_shortest_paths(g)
-    for t in terms[1:]:
-        if not np.isfinite(dist[terms[0], t]):
-            raise ValueError(f"terminals {terms[0]} and {t} are not mutually reachable")
+    dist, parents = all_pairs_shortest_paths(g)  # finite between terminals: see StpInstance
 
     root = terms[0]
     others = terms[1:]
@@ -240,8 +234,6 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
     full = (1 << t) - 1
 
     dp = np.full((1 << t, n), np.inf)
-    # grow_u[mask][v]: vertex the final metric relaxation came from
-    grow_u = np.full((1 << t, n), -1, dtype=np.int32)
     for i, term in enumerate(others):
         dp[1 << i] = dist[term]
 
@@ -256,31 +248,20 @@ def dreyfus_wagner(instance: StpInstance, max_terminals: int = DW_TERMINAL_CAP) 
         level = np.flatnonzero(popcount == k)
         tmp = _dw_merge(dp, level, _dw_halves(level, k), scratch)
         for a in range(0, len(level), per_relax):
-            masks = level[a:a + per_relax]
-            dp[masks], grow_u[masks] = _dw_relax(tmp[a:a + per_relax], dist_t, scratch[0])
+            dp[level[a:a + per_relax]] = _dw_relax(tmp[a:a + per_relax], dist_t, scratch[0])
 
     edges: set[tuple[int, int, float]] = set()
-
-    def add_path(src: int, dst: int) -> None:
-        path = reconstruct_path(parents[src], src, dst)
-        for u, v in zip(path, path[1:]):
-            uu, vv = (u, v) if u < v else (v, u)
-            edges.add((uu, vv, g.weight(uu, vv)))
-
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
-        if mask & (mask - 1) == 0:
-            add_path(others[mask.bit_length() - 1], v)
-            continue
-        u = int(grow_u[mask][v])
-        add_path(u, v)
-        sub = _dw_split(dp, mask, u)
-        stack.append((sub, u))
-        stack.append((mask ^ sub, u))
+        if mask & (mask - 1) == 0:  # one terminal: dp holds its distance
+            u = others[mask.bit_length() - 1]
+        else:
+            u, sub = _dw_backtrack(dp, dist_t, mask, v, scratch)
+            stack += [(sub, u), (mask ^ sub, u)]
+        edges |= _path_edges(g, parents[u], u, v)
 
-    tree = verify_tree(instance, edges)
-    tree = prune(tree, instance.terminals)
+    tree = prune(verify_tree(instance, edges), instance.terminals)
     if not abs(tree.cost - float(dp[full][root])) < 1e-9:
         raise RuntimeError(f"reconstruction cost mismatch: tree {tree.cost}, "
                            f"table {float(dp[full][root])}")
@@ -294,7 +275,7 @@ def _dw_merge(dp: np.ndarray, masks: np.ndarray, halves: np.ndarray,
 
     Only the minimum is kept, so the order of the splits does not matter;
     which split attains it is recomputed for the few ``(mask, vertex)``
-    pairs a tree uses (``_dw_split``).  The table is gathered in rectangles
+    pairs a tree uses (``_dw_backtrack``).  The table is gathered in rectangles
     of split rows by mask columns, split-major, ``(splits, masks, n)``, so
     each minimum is an elementwise fold over contiguous ``(masks, n)`` slabs.
     """
@@ -319,12 +300,19 @@ def _dw_merge(dp: np.ndarray, masks: np.ndarray, halves: np.ndarray,
     return tmp
 
 
-def _dw_split(dp: np.ndarray, mask: int, u: int) -> int:
-    """The half of ``mask`` holding its lowest bit that the merge at vertex
-    ``u`` took: the first cheapest ``dp[sub][u] + dp[mask ^ sub][u]`` in
-    descending submask order, the order a scalar submask loop visits."""
-    subs = _dw_halves(np.array([mask]), mask.bit_count())[::-1, 0]
-    return int(subs[(dp[subs, u] + dp[mask ^ subs, u]).argmin()])
+def _dw_backtrack(dp: np.ndarray, dist_t: np.ndarray, mask: int, v: int,
+                  scratch: np.ndarray) -> tuple[int, int]:
+    """The relaxation vertex ``u`` and the split half (holding the lowest
+    bit) that solved ``dp[mask][v]``.  Merging ``mask`` again alone gives
+    the sums the relaxation minimised, so their first minimum is the lowest
+    winning ``u``; the split is the first cheapest ``dp[sub][u] +
+    dp[mask ^ sub][u]`` in descending submask order, as a scalar loop visits."""
+    masks = np.array([mask])
+    halves = _dw_halves(masks, mask.bit_count())
+    merged = _dw_merge(dp, masks, halves, scratch)[0]
+    u = int((merged + dist_t[v]).argmin())
+    subs = halves[::-1, 0]
+    return u, int(subs[(dp[subs, u] + dp[mask ^ subs, u]).argmin()])
 
 
 def _dw_halves(masks: np.ndarray, k: int) -> np.ndarray:
@@ -343,20 +331,18 @@ def _dw_halves(masks: np.ndarray, k: int) -> np.ndarray:
     return halves[:-1]  # the last row holds every bit: the mask itself
 
 
-def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray,
-              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """min over u of tmp[:, u] + dist[u, v] for every row of ``tmp`` and
-    vertex v, with the lowest minimizing u; ``dist_t`` is dist transposed."""
+    vertex v; ``dist_t`` is dist transposed."""
     c, n = tmp.shape
     cost = np.empty((c, n))
-    grow = np.empty((c, n), dtype=np.int32)
     chunk = max(1, _DW_BLOCK_ELEMENTS // (c * n))
     for b in range(0, n, chunk):
         part = dist_t[b:b + chunk]
         relax = np.add(tmp[:, None, :], part,
                        out=scratch[:c * part.size].reshape(c, *part.shape))
+        # argmin and a flat take outrun min(axis=2) on these blocks
         at = relax.argmin(axis=2)
-        grow[:, b:b + chunk] = at
-        at += np.arange(0, relax.size, n).reshape(at.shape)  # flat indices
+        at += np.arange(0, relax.size, n).reshape(at.shape)
         cost[:, b:b + chunk] = np.take(relax, at)
-    return cost, grow
+    return cost

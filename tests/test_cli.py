@@ -174,6 +174,42 @@ class TestTrain:
                          "sw.sweep-gamma-0.4.curve.csv",
                          "sw.sweep-gamma-0.8.curve.csv"]
 
+    def test_zero_round_sweep_writes_every_curve(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main(["train", "rr:n=10", "--rounds", "0", "--sweep", "gamma",
+                   "--validation", "0", "--out", str(out)])
+        assert rc == 0
+        for tag in ("0.2", "0.4", "0.8"):
+            curve = (tmp_path / f"sw.sweep-gamma-{tag}.curve.csv").read_text()
+            assert curve.splitlines() == ["round,episode_cost,mean_loss,epsilon,"
+                                          "gain_on_validation"]
+        assert "gamma=0.8: final episode cost none (0 rounds)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "nan"], "lr must be positive and finite, got nan"),
+        (["--lr", "inf"], "lr must be positive and finite, got inf"),
+        (["--epsilon-start", "2.0"], "epsilon_start must lie in [0, 1], got 2.0"),
+        (["--epsilon-end", "-1.0"], "epsilon_end must lie in [0, 1], got -1.0"),
+        (["--epsilon-start", "nan"], "epsilon_start must lie in [0, 1], got nan"),
+        (["--replay-cap", "100"], "replay_cap 100 is below the 160 transitions"),
+    ])
+    def test_config_that_cannot_train_is_a_named_error(self, tmp_path, capsys,
+                                                       flags, message):
+        out = tmp_path / "bad"
+        rc = main(["train", "rr:n=30", "--rounds", "20", *flags, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_checks_every_config_before_training(self, tmp_path, capsys):
+        # batch 8 warms within 100 transitions, batch 16 does not
+        rc = main(["train", GEN_SPEC, "--rounds", "2", "--replay-cap", "100",
+                   "--sweep", "batch", "--out", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "replay_cap 100 is below the 160 transitions" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_directory_source(self, diamond_file, tmp_path):
         out = tmp_path / "dir-run"
         rc = main(["train", str(diamond_file.parent), *TRAIN_FLAGS,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestWeightedGraph:
         g2 = WeightedGraph(4, list(reversed(DIAMOND)))
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1 != WeightedGraph(4, DIAMOND[:-1])
+
+    def test_hash_is_kept_across_equal_graphs_and_pickling(self):
+        g = WeightedGraph(4, DIAMOND)
+        first = hash(g)
+        assert hash(g) == first == hash(WeightedGraph(4, DIAMOND))
+        for graph in (g, WeightedGraph(4, DIAMOND)):  # hashed, then not yet hashed
+            copy = pickle.loads(pickle.dumps(graph))
+            assert copy == g and hash(copy) == first
+        inst = StpInstance(graph=g, terminals=frozenset({0, 3}))
+        assert hash(pickle.loads(pickle.dumps(inst))) == hash(inst)
 
 
 class TestShortestPaths:

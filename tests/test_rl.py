@@ -370,6 +370,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DdqnConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("epsilon_start", "epsilon_end", "epsilon_fraction")
+        for value in (2.0, -1.0, math.nan)])
+    def test_rejects_epsilon_outside_the_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\], got {value}$"):
+            DdqnConfig(**{field: value})
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    def test_rejects_lr_that_is_not_a_positive_finite_number(self, lr):
+        with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr}$"):
+            DdqnConfig(lr=lr)
+
+    @pytest.mark.parametrize("kwargs, warm", [
+        ({"rounds": 40, "replay_cap": 100}, 160),
+        ({"batch": 8, "warmup_batches": 3, "replay_cap": 23}, 24),
+        ({"batch": 32, "warmup_batches": 1, "replay_cap": 31}, 32),
+    ])
+    def test_rejects_replay_that_never_warms(self, kwargs, warm):
+        with pytest.raises(ValueError, match=f"^replay_cap {kwargs['replay_cap']} is "
+                                             f"below the {warm} transitions"):
+            DdqnConfig(**kwargs)
+        assert DdqnConfig(**{**kwargs, "replay_cap": warm}).warm_replay == warm
+
 
 class TestTrainStep:
     def fill_buffer(self, buf, params, n_episodes=3):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -177,12 +178,13 @@ class TestDreyfusWagner:
         inst = diamond_instance({0, 1, 2, 3})
         assert dreyfus_wagner(inst).cost == 4.0  # MST of the diamond
 
-    def test_terminal_cap_enforced(self):
+    def test_terminal_cap_enforced(self, monkeypatch):
         g = WeightedGraph(20, [(i, i + 1, 1.0) for i in range(19)])
         inst = StpInstance(graph=g, terminals=frozenset(range(16)))
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="cap of 14"):
             dreyfus_wagner(inst)
-        dreyfus_wagner(inst, max_terminals=16)
+        monkeypatch.setattr(solvers_module, "DW_TERMINAL_CAP", 16)  # read at call time
+        assert dreyfus_wagner(inst).cost == 15.0
 
     def test_apsp_runs_no_per_source_dijkstra(self, monkeypatch):
         calls = []
@@ -196,6 +198,20 @@ class TestDreyfusWagner:
         monkeypatch.setattr(solvers_module, "shortest_paths_with_parents", counting)
         dreyfus_wagner(with_terminal_count("er:n=100,w=1:5", 3, 6))
         assert calls == []
+
+    def test_cost_table_is_the_only_table(self):
+        # past the (2^(t-1), n) cost table the peak is two scratch buffers,
+        # one level's splits and merge result, and the metric; an int32
+        # back-pointer table would add half the cost table again
+        inst = with_terminal_count("er:n=100,w=1:5", 3, 13)
+        cost_table = (1 << 12) * 100 * 8
+        tracemalloc.start()
+        try:
+            dreyfus_wagner(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * cost_table
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
@@ -320,7 +336,7 @@ def test_split_table_holds_every_half_with_the_lowest_bit(t):
         for col, mask in zip(halves.T, level):
             low = mask & -mask
             expected = [sub for sub in range(1, mask) if sub & mask == sub and sub & low]
-            assert list(col) == expected  # ascending, so _dw_split reverses it
+            assert list(col) == expected  # ascending, so _dw_backtrack reverses it
 
 
 class TestVerifyTreeRejectsMutations:
