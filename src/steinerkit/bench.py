@@ -20,11 +20,11 @@ from .graph import StpInstance
 from .qnet import QNetParams
 from .rl import active_search, greedy_rollout
 from .solvers import (
-    DW_TERMINAL_CAP,
     SteinerTree,
     cost_ratio,
     dreyfus_wagner,
     kmb,
+    over_exact_cap,
     verify_tree,
 )
 
@@ -169,11 +169,10 @@ def run_bench(instances, methods, reference: str = "classic",
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     if "exact" in methods or reference == "exact":
-        over = [f"{inst.id} ({len(inst.terminals)} terminals)" for inst in instances
-                if len(inst.terminals) > DW_TERMINAL_CAP]
+        over, cap = over_exact_cap(instances)
         if over:
-            raise ValueError(f"instances exceed the exact-solver cap of "
-                             f"{DW_TERMINAL_CAP} terminals: {', '.join(over)}")
+            named = ", ".join(f"{inst.id} ({len(inst.terminals)} terminals)" for inst in over)
+            raise ValueError(f"instances exceed the exact-solver cap of {cap} terminals: {named}")
     if reference in SOLVER_REFERENCES:  # positive weights: a tree costs 0 iff |T| = 1
         zero = [inst.id for inst in instances if len(inst.terminals) == 1]
     else:

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import StpInstance, WeightedGraph
-
-
-def _integer(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"line {lineno}: {tok!r} is not an integer") from None
+from .steinlib import parse_int
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
@@ -36,12 +30,12 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line: {raw!r}")
-            n_vars, n_clauses = _integer(parts[2], lineno), _integer(parts[3], lineno)
+            n_vars, n_clauses = parse_int(parts[2], lineno), parse_int(parts[3], lineno)
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause data before 'p cnf' header")
         for tok in line.split():
-            lit = _integer(tok, lineno)
+            lit = parse_int(tok, lineno)
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -71,7 +65,7 @@ def _integer_rows(text: str, what: str, header: tuple[int, str], row: tuple[int,
         toks = line.split()
         if len(toks) != arity:
             raise ValueError(f"line {lineno}: expected {description}, got {line!r}")
-        rows.append(tuple(_integer(tok, lineno) for tok in toks))
+        rows.append(tuple(parse_int(tok, lineno) for tok in toks))
     if not rows:
         raise ValueError(f"empty {what} input")
     return rows[0], rows[1:]

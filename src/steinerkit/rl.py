@@ -200,6 +200,11 @@ def step(state: EpisodeState, v: int) -> tuple[EpisodeState, float]:
     return state, reward
 
 
+def greedy_vertex(frontier, q) -> int:
+    """The greedy rule: the ``frontier`` vertex of highest ``q[v]``, the lowest on ties."""
+    return max(frontier, key=q.__getitem__)
+
+
 def frontier_q_values(params: QNetParams, state: EpisodeState) -> dict[int, float]:
     """Action-value map restricted to the legal actions."""
     if not state.frontier:
@@ -210,7 +215,7 @@ def frontier_q_values(params: QNetParams, state: EpisodeState) -> dict[int, floa
 
 def select_action(state: EpisodeState, q_map: dict[int, float], epsilon: float,
                   rng: np.random.Generator | None = None) -> int:
-    """epsilon-greedy over the frontier; greedy ties go to the lowest vertex."""
+    """epsilon-greedy over the frontier; the greedy pick is ``greedy_vertex``."""
     frontier = state.frontier_sorted
     if not frontier:
         raise ValueError("empty frontier")
@@ -219,23 +224,17 @@ def select_action(state: EpisodeState, q_map: dict[int, float], epsilon: float,
             raise ValueError("exploration needs an rng")
         if rng.random() < epsilon:
             return int(frontier[int(rng.integers(len(frontier)))])
-    best_v, best_q = frontier[0], q_map[frontier[0]]
-    for v in frontier[1:]:
-        if q_map[v] > best_q:
-            best_v, best_q = v, q_map[v]
-    return best_v
+    return greedy_vertex(frontier, q_map)
 
 
 def ddqn_target(transition: Transition, env_params: QNetParams,
                 target_params: QNetParams, gamma: float) -> float:
-    """Double estimator: live net picks the successor action, frozen net prices it."""
+    """Double estimator: the frozen net prices the live net's ``greedy_vertex`` successor."""
     if transition.done:
         return transition.reward
     if not transition.next_frontier:
         raise ValueError("non-terminal transition with empty next frontier")
-    q_env = q_values(env_params, transition.after)
-    frontier = np.array(transition.next_frontier)
-    v_star = int(frontier[int(np.argmax(q_env[frontier]))])
+    v_star = greedy_vertex(transition.next_frontier, q_values(env_params, transition.after))
     q_tgt = q_values(target_params, transition.after)
     return transition.reward + gamma * float(q_tgt[v_star])
 

@@ -194,6 +194,12 @@ def _path_edges(graph, parent, source: int, target: int) -> set[tuple[int, int, 
     return {(min(u, v), max(u, v), graph.weight(u, v)) for u, v in zip(path, path[1:])}
 
 
+def over_exact_cap(instances) -> tuple[list[StpInstance], int]:
+    """The instances over ``DW_TERMINAL_CAP`` terminals, and the cap, read at each call."""
+    cap = DW_TERMINAL_CAP
+    return [inst for inst in instances if len(inst.terminals) > cap], cap
+
+
 def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     """Exact minimum Steiner tree via the terminal-subset dynamic program.
 
@@ -216,11 +222,10 @@ def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     resolve as a scalar loop would: the lowest relaxation vertex and the
     first split in descending submask order win.
     """
+    over, cap = over_exact_cap([instance])
+    if over:
+        raise ValueError(f"{len(over[0].terminals)} terminals exceed the exact-solver cap of {cap}")
     terms = instance.terminal_list
-    if len(terms) > DW_TERMINAL_CAP:
-        raise ValueError(
-            f"{len(terms)} terminals exceed the exact-solver cap of {DW_TERMINAL_CAP}"
-        )
     if len(terms) == 1:
         return verify_tree(instance, ())
 

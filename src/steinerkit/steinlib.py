@@ -30,7 +30,7 @@ KNOWN_OPTIMA: dict[str, float] = {
 
 
 class SteinlibParseError(ValueError):
-    """Malformed STP input; carries the 1-based offending line number."""
+    """Malformed STP or reduction-source input; carries the 1-based offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -95,7 +95,7 @@ def parse_steinlib(text: str) -> StpInstance:
             if key == "NODES":
                 if len(parts) != 2:
                     raise SteinlibParseError(line_no, f"expected 'Nodes n', got {line!r}")
-                nodes = _parse_int(parts[1], line_no, "Nodes")
+                nodes = parse_int(parts[1], line_no)
             elif key == "EDGES":
                 continue  # declared count is advisory; actual E lines decide
             elif key in ("E", "A"):
@@ -103,8 +103,8 @@ def parse_steinlib(text: str) -> StpInstance:
                     raise SteinlibParseError(line_no, "edge before Nodes declaration")
                 if len(parts) != 4:
                     raise SteinlibParseError(line_no, f"expected 'E u v w', got {line!r}")
-                u = _parse_int(parts[1], line_no, "edge endpoint")
-                v = _parse_int(parts[2], line_no, "edge endpoint")
+                u = parse_int(parts[1], line_no)
+                v = parse_int(parts[2], line_no)
                 w = _parse_number(parts[3], line_no, "edge weight")
                 if not (1 <= u <= nodes and 1 <= v <= nodes):
                     raise SteinlibParseError(line_no, f"edge endpoint out of range 1..{nodes}")
@@ -128,7 +128,7 @@ def parse_steinlib(text: str) -> StpInstance:
                     raise SteinlibParseError(line_no, "terminal before SECTION Graph")
                 if len(parts) != 2:
                     raise SteinlibParseError(line_no, f"expected 'T id', got {line!r}")
-                t = _parse_int(parts[1], line_no, "terminal id")
+                t = parse_int(parts[1], line_no)
                 if not (1 <= t <= nodes):
                     raise SteinlibParseError(line_no, f"terminal {t} out of range 1..{nodes}")
                 terminals.add(t - 1)
@@ -198,11 +198,13 @@ def write_steinlib_file(instance: StpInstance, path) -> None:
         fh.write(write_steinlib(instance))
 
 
-def _parse_int(token: str, line_no: int, what: str) -> int:
+def parse_int(token: str, line_no: int) -> int:
+    """The integer ``token`` on line ``line_no``: the one integer reader of ``.stp`` files and
+    of the reductions' DIMACS, vertex-cover and exact-cover sources."""
     try:
         return int(token)
     except ValueError:
-        raise SteinlibParseError(line_no, f"bad {what}: {token!r}") from None
+        raise SteinlibParseError(line_no, f"{token!r} is not an integer") from None
 
 
 def _parse_number(token: str, line_no: int, what: str) -> float:

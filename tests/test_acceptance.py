@@ -43,7 +43,8 @@ EVAL_OFFSET = 2_000_000
 
 
 class Criterion:
-    """Guarantees exactly one summary line per criterion, pass or fail."""
+    """Guarantees exactly one summary line per criterion, pass or fail, with
+    the seconds spent inside the ``with`` block (shared fixtures excluded)."""
 
     def __init__(self, number, name):
         self.number = number
@@ -51,17 +52,21 @@ class Criterion:
         self.recorded = False
 
     def __enter__(self):
+        self.started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None and not self.recorded:
             record_criterion(self.number, self.name, False,
-                             f"unexpected {exc_type.__name__}: {exc}")
+                             f"unexpected {exc_type.__name__}: {exc}", self.seconds())
         return False
+
+    def seconds(self):
+        return time.perf_counter() - self.started
 
     def conclude(self, passed, detail=""):
         self.recorded = True
-        record_criterion(self.number, self.name, passed, detail)
+        record_criterion(self.number, self.name, passed, detail, self.seconds())
         assert passed, f"criterion {self.number} ({self.name}): {detail}"
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import steinerkit.solvers as solvers_module
 from steinerkit import bench
 from steinerkit.bench import (
     REFERENCES,
@@ -13,7 +14,7 @@ from steinerkit.bench import (
     solve_with_method,
 )
 from steinerkit.generators import GeneratorConfig, generate
-from steinerkit.graph import StpInstance
+from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.qnet import init_params
 from steinerkit.reductions import reduce_x3c
 from steinerkit.solvers import dreyfus_wagner, kmb, verify_tree
@@ -207,6 +208,26 @@ class TestRunBench:
             assert f"{inst.id} ({len(inst.terminals)} terminals)" in message
         for inst in insts[::2]:
             assert inst.id not in message
+        assert calls == []
+
+    def path_instance(self, terminals):
+        g = WeightedGraph(terminals, [(i, i + 1, 1.0) for i in range(terminals - 1)])
+        return StpInstance(graph=g, terminals=frozenset(range(terminals)), name="path")
+
+    def test_raised_cap_admits_what_the_solver_solves(self, monkeypatch):
+        monkeypatch.setattr(solvers_module, "DW_TERMINAL_CAP", 16)
+        rep = run_bench([self.path_instance(15)], ("exact",), reference="exact")
+        assert [(r.cost, r.ratio) for r in rep.rows] == [(14.0, 1.0)]
+
+    def test_lowered_cap_refuses_before_any_solver_runs(self, monkeypatch):
+        monkeypatch.setattr(solvers_module, "DW_TERMINAL_CAP", 12)
+        calls = []
+        for solver in ("kmb", "dreyfus_wagner"):
+            monkeypatch.setattr(bench, solver,
+                                lambda instance, _s=solver: calls.append(_s))
+        with pytest.raises(ValueError, match=r"^instances exceed the exact-solver cap of 12 "
+                                             r"terminals: path \(13 terminals\)$"):
+            run_bench([self.path_instance(13)], ("classic", "exact"))
         assert calls == []
 
     @pytest.mark.parametrize("reference", REFERENCES)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import steinerkit.graph as graph_module
+import steinerkit.rl as rl_module
 import steinerkit.solvers as solvers_module
 from steinerkit.generators import GeneratorConfig, generate
 from steinerkit.graph import StpInstance, WeightedGraph
@@ -307,6 +308,31 @@ class TestDdqnTarget:
         v_star = frontier[np.argmax(q_values(env, tr.after)[frontier])]
         expected = tr.reward + 0.5 * q_values(tgt, tr.after)[v_star]
         assert ddqn_target(tr, env, tgt, gamma=0.5) == pytest.approx(expected)
+
+
+class TestGreedyRule:
+    """``select_action`` at epsilon 0 and ``ddqn_target`` pick by one rule:
+    the highest value, the lowest vertex on ties, a NaN only when first."""
+
+    @pytest.mark.parametrize("q2, q3, expected", [
+        (0.5, 0.5, 2),
+        (0.1, 0.9, 3),
+        (0.9, 0.1, 2),
+        (math.nan, 0.9, 2),
+        (0.1, math.nan, 2),
+    ])
+    def test_action_and_target_pick_alike(self, monkeypatch, q2, q3, expected):
+        state = reset(REWARD_INSTANCE, start=0)
+        tr = recorded_step(state, 1)
+        assert state.frontier_sorted == tr.next_frontier == (2, 3)
+        assert select_action(state, {2: q2, 3: q3}, 0.0) == expected
+
+        env, tgt = init_params(2, 2, seed=0), init_params(2, 2, seed=1)
+        q_env = np.array([0.0, 0.0, q2, q3])
+        q_tgt = np.array([0.0, 0.0, 20.0, 30.0])  # the pick is readable off the target
+        monkeypatch.setattr(rl_module, "q_values",
+                            lambda params, _: q_env if params is env else q_tgt)
+        assert ddqn_target(tr, env, tgt, gamma=1.0) == tr.reward + 10.0 * expected
 
 
 class TestReplayBuffer:
