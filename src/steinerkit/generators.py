@@ -57,9 +57,11 @@ class GeneratorConfig:
 def generate(config: GeneratorConfig) -> StpInstance:
     """Build one connected instance from the config, deterministically.
 
-    Graph draws are rejected until connected (capped), then weights are
-    assigned edge-by-edge in canonical order, then terminals are drawn
-    until at least two come up.
+    Graph draws are rejected until connected, then weights are assigned
+    edge-by-edge in canonical order, then terminals are drawn until at
+    least two come up.  A config with no connected draw in
+    ``CONNECT_RETRIES`` tries (one below the connectivity threshold)
+    raises a ``ValueError``.
     """
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     pairs = _connected_edge_set(config, rng)
@@ -87,7 +89,7 @@ def _connected_edge_set(config: GeneratorConfig, rng: np.random.Generator) -> li
             pairs = watts_strogatz_edges(config.n, config.ws_k, config.ws_beta, rng)
         if pairs is not None and _is_connected(config.n, pairs):
             return sorted(pairs)
-    raise RuntimeError(
+    raise ValueError(
         f"no connected {config.model} graph found in {CONNECT_RETRIES} draws; "
         "parameters are likely below the connectivity threshold"
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -228,14 +228,27 @@ def select_action(state: EpisodeState, q_map: dict[int, float], epsilon: float,
 
 
 def ddqn_target(transition: Transition, env_params: QNetParams,
-                target_params: QNetParams, gamma: float) -> float:
-    """Double estimator: the frozen net prices the live net's ``greedy_vertex`` successor."""
+                target_params: QNetParams, gamma: float,
+                target_q: dict | None = None) -> float:
+    """Double estimator: the frozen net prices the live net's ``greedy_vertex`` successor.
+
+    ``target_q`` memoises the frozen net's values of ``transition.after``
+    as ``id(transition) -> (transition, values)``; the entry holds the
+    transition, so its id is not reused while the entry lives.  It is valid
+    only while ``target_params`` stays unchanged.
+    """
     if transition.done:
         return transition.reward
     if not transition.next_frontier:
         raise ValueError("non-terminal transition with empty next frontier")
     v_star = greedy_vertex(transition.next_frontier, q_values(env_params, transition.after))
-    q_tgt = q_values(target_params, transition.after)
+    key = id(transition)
+    if target_q is not None and key in target_q:
+        q_tgt = target_q[key][1]
+    else:
+        q_tgt = q_values(target_params, transition.after)
+        if target_q is not None:
+            target_q[key] = (transition, q_tgt)
     return transition.reward + gamma * float(q_tgt[v_star])
 
 
@@ -318,13 +331,15 @@ def epsilon_at(config: DdqnConfig, round_idx: int) -> float:
 
 
 def train_step(buffer: ReplayBuffer, env_params: QNetParams,
-               target_params: QNetParams, config: DdqnConfig) -> float:
-    """One SGD update from a uniform replay batch; returns the mean loss."""
+               target_params: QNetParams, config: DdqnConfig,
+               target_q: dict | None = None) -> float:
+    """One SGD update from a uniform replay batch; returns the mean loss.
+    ``target_q`` is ``ddqn_target``'s memo of ``target_params``' values."""
     batch = buffer.sample(config.batch)
     acc = zero_like(env_params)
     total_loss = 0.0
     for tr in batch:
-        y = ddqn_target(tr, env_params, target_params, config.gamma)
+        y = ddqn_target(tr, env_params, target_params, config.gamma, target_q)
         loss, g = grad(env_params, tr.before, tr.action, y)
         total_loss += loss
         add_grads(acc, g)
@@ -338,12 +353,22 @@ def train_step(buffer: ReplayBuffer, env_params: QNetParams,
 
 @dataclass
 class Learner:
-    """What an episode learns into: replay, the frozen target, step count."""
+    """What an episode learns into: replay, the frozen target, step count,
+    and ``target_q``, the frozen target's Q-values of each replayed
+    successor state priced since the last re-sync.
+
+    Replay draws a transition again within one target window whenever it
+    is small next to the window's ``target_sync x batch`` draws; the memo
+    then prices it once.  It is emptied at every re-sync and holds at most
+    ``target_sync x batch`` vectors of n floats (finished transitions add
+    none), so it also keeps at most that many evicted transitions alive.
+    """
 
     buffer: ReplayBuffer
     target: QNetParams
     config: DdqnConfig
     steps: int = 0
+    target_q: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def fresh(cls, params: QNetParams, config: DdqnConfig, buffer_seed) -> "Learner":
@@ -358,10 +383,11 @@ class Learner:
         cfg = self.config
         if len(self.buffer) < cfg.warm_replay:
             return None
-        loss = train_step(self.buffer, params, self.target, cfg)
+        loss = train_step(self.buffer, params, self.target, cfg, self.target_q)
         self.steps += 1
         if self.steps % cfg.target_sync == 0:
             self.target = params.copy()
+            self.target_q = {}
         return loss
 
 

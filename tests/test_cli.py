@@ -103,6 +103,13 @@ class TestSolve:
         assert capsys.readouterr().err == \
             "error: generator key 'n' is repeated in 'rr:n=5,n=6'\n"
 
+    def test_spec_below_connectivity_threshold_is_a_named_error(self, capsys):
+        rc = main(["solve", "er:n=10,p=0.01", "--method", "classic"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no connected er graph found in 1000 draws; "
+            "parameters are likely below the connectivity threshold\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda payload: [], "not a qnet-checkpoint file"),
         (lambda payload: {**payload, "params": []}, "params must be an object"),

@@ -65,7 +65,7 @@ class TestGenerate:
     def test_infeasible_config_raises(self):
         # p far below the connectivity threshold can never connect 30 vertices
         cfg = GeneratorConfig(model="er", n=30, p=0.01, seed=0)
-        with pytest.raises(RuntimeError, match="connected"):
+        with pytest.raises(ValueError, match="connected"):
             generate(cfg)
 
 

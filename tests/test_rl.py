@@ -475,6 +475,76 @@ class TestTrainStep:
         assert not np.array_equal(params.theta1, target.theta1)
 
 
+class TestTargetMemo:
+    """``Learner.target_q`` prices each replayed successor under the frozen
+    target once per target window.  The config keeps replay small next to
+    a window's draws, so repeats happen in every window."""
+
+    CONFIG = DdqnConfig(p_dim=2, k=2, batch=4, target_sync=3, warmup_batches=1,
+                        lr=1e-2)
+    INSTANCES = [REWARD_INSTANCE] + [small_instance(seed) for seed in range(3)]
+
+    def learn(self, learner, params, episodes=16):
+        rng = np.random.default_rng(8)
+        losses = []
+        for i in range(episodes):
+            losses += play_episode(self.INSTANCES[i % len(self.INSTANCES)], params,
+                                   0.5, rng, learner=learner)[1]
+        return losses
+
+    def test_memo_learns_the_bytes_of_the_memo_free_reference(self, monkeypatch):
+        calls = []
+        real_q_values = rl_module.q_values
+        monkeypatch.setattr(rl_module, "q_values",
+                            lambda *args: calls.append(1) or real_q_values(*args))
+
+        def run():
+            calls.clear()
+            params = init_params(2, 2, seed=0)
+            learner = Learner.fresh(params, self.CONFIG, 0)
+            losses = self.learn(learner, params)
+            return params, losses, learner.steps, len(calls)
+
+        params, losses, steps, memo_calls = run()
+        real_train_step = rl_module.train_step
+        monkeypatch.setattr(rl_module, "train_step",  # ddqn_target with no memo
+                            lambda buffer, env, target, config, target_q=None:
+                            real_train_step(buffer, env, target, config))
+        ref_params, ref_losses, ref_steps, ref_calls = run()
+
+        assert steps == ref_steps >= 3 * self.CONFIG.target_sync
+        assert memo_calls < ref_calls
+        assert losses and np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+        for name, arr in params.as_dict().items():
+            assert arr.tobytes() == ref_params.as_dict()[name].tobytes()
+
+    def test_memo_holds_the_successors_drawn_since_the_last_sync(self):
+        cfg = self.CONFIG
+        params = init_params(2, 2, seed=0)
+        learner = Learner.fresh(params, cfg, 0)
+        drawn = []
+        sample, observe = learner.buffer.sample, learner.observe
+
+        def recorded_sample(batch):
+            drawn.append(sample(batch))
+            return drawn[-1]
+
+        def checked_observe(params, transition):
+            loss = observe(params, transition)
+            window = learner.steps % cfg.target_sync
+            since_sync = drawn[len(drawn) - window:] if window else []
+            expected = {id(t): t for batch in since_sync for t in batch if not t.done}
+            assert learner.target_q.keys() == expected.keys()
+            assert all(tr is expected[key] for key, (tr, _) in learner.target_q.items())
+            assert len(learner.target_q) <= window * cfg.batch
+            return loss
+
+        learner.buffer.sample, learner.observe = recorded_sample, checked_observe
+        self.learn(learner, params)
+        assert learner.steps >= 3 * cfg.target_sync
+        assert any(t.done for batch in drawn for t in batch)
+
+
 class TestPlayEpisode:
     def test_invariants_over_many_episodes(self):
         rng = np.random.default_rng(17)
