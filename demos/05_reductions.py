@@ -9,19 +9,18 @@ problem, and the tree itself decodes back into a certificate: a
 satisfying assignment, a vertex cover, or a choice of disjoint triples.
 """
 
-from steinerkit import dreyfus_wagner, reduce_mvc, reduce_sat, reduce_x3c
+from steinerkit import reduce_mvc, reduce_sat, reduce_x3c
 
 
 def report(red, witness_label):
-    tree = dreyfus_wagner(red.instance)
-    yes = tree.cost <= red.bound + 1e-9
+    check = red.certify()  # solves exactly, then applies the YES rule
+    yes = check["yes_instance"]
     print(f"{red.instance.name}: |V|={red.instance.graph.vertex_count} "
-          f"bound {red.bound:g}, optimal cost {tree.cost:g} "
+          f"bound {red.bound:g}, optimal cost {check['optimal_cost']:g} "
           f"-> {'YES' if yes else 'NO'}")
     if yes:
-        witness = red.decode_witness(tree)
-        assert red.verify_witness(witness)
-        print(f"  {witness_label}: {witness}")
+        assert check["witness_ok"]
+        print(f"  {witness_label}: {check['witness']}")
     return yes
 
 

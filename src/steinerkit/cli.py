@@ -27,16 +27,9 @@ from .bench import (
 )
 from .generators import generate, parse_generator_spec
 from .qnet import load_checkpoint, save_checkpoint
-from .reductions import (
-    parse_dimacs,
-    parse_mvc_source,
-    parse_x3c_source,
-    reduce_mvc,
-    reduce_sat,
-    reduce_x3c,
-)
+from .reductions import REDUCTIONS
 from .rl import DdqnConfig, train, write_curve_csv
-from .solvers import cost_ratio, dreyfus_wagner
+from .solvers import cost_ratio
 from .steinlib import edge_list_text, parse_steinlib_file, write_steinlib_file
 
 VALIDATION_SEED_OFFSET = 1_000_000
@@ -181,42 +174,23 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    text = Path(args.source).read_text()
-    if args.kind == "sat":
-        n_vars, clauses = parse_dimacs(text)
-        red = reduce_sat(n_vars, clauses)
-    elif args.kind == "mvc":
-        n, edges, k = parse_mvc_source(text)
-        red = reduce_mvc(n, edges, k)
-    else:
-        n_elements, triples = parse_x3c_source(text)
-        red = reduce_x3c(n_elements, triples)
-
-    out = args.out or red.instance.name
-    stp_path = f"{out}.stp"
-    write_steinlib_file(red.instance, stp_path)
+    parse, reduce = REDUCTIONS[args.kind]
+    red = reduce(*parse(Path(args.source).read_text()))
     witness_map = {
         **red.metadata(),
         "roles": {str(v): role for v, role in sorted(red.roles.items())},
     }
+    if args.check:  # before any file is written, so a solver error leaves none
+        witness_map["check"] = check = red.certify()
 
-    if args.check:
-        tree = dreyfus_wagner(red.instance)
-        yes = tree.cost <= red.bound + 1e-9
-        witness = red.decode_witness(tree)
-        witness_map["check"] = {
-            "optimal_cost": tree.cost,
-            "bound": red.bound,
-            "yes_instance": yes,
-            "witness": witness,
-            "witness_ok": bool(red.verify_witness(witness)) if yes else None,
-        }
-
+    out = args.out or red.instance.name
+    stp_path = f"{out}.stp"
+    write_steinlib_file(red.instance, stp_path)
     Path(f"{out}.witness.json").write_text(json.dumps(witness_map, indent=1) + "\n")
     print(f"wrote {stp_path}; bound = {red.bound:g}")
     if args.check:
-        verdict = "YES" if witness_map["check"]["yes_instance"] else "NO"
-        print(f"optimal cost {witness_map['check']['optimal_cost']:g} -> {verdict}")
+        verdict = "YES" if check["yes_instance"] else "NO"
+        print(f"optimal cost {check['optimal_cost']:g} -> {verdict}")
     return 0
 
 
@@ -271,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("reduce", help="reduce SAT/MVC/X3C to a Steiner instance")
-    p.add_argument("kind", choices=("sat", "mvc", "x3c"))
+    p.add_argument("kind", choices=tuple(REDUCTIONS))
     p.add_argument("source", help="DIMACS CNF / 'n m k' edges / triples file")
     p.add_argument("--check", action="store_true",
                    help="solve exactly and decode the witness")

@@ -1,10 +1,11 @@
 """Polynomial reductions from classic NP-complete problems to Steiner tree.
 
-Each reduction returns the constructed instance together with a cost bound
-such that the source problem is a YES-instance exactly when some Steiner
-tree meets the bound, plus a witness map that converts a tree back into a
-certificate for the source problem (assignment, cover, or triple choice).
-All constructions index vertices deterministically so repeated runs agree.
+Each reduction builds an instance whose ``bound`` some Steiner tree meets
+exactly when the source problem is a YES-instance, plus a witness map that
+converts a tree back into a certificate for the source problem (assignment,
+cover, or triple choice); ``ReductionOutput.certify`` owns that YES rule.
+``REDUCTIONS`` maps each source kind to its parser and reducer.  All
+constructions index vertices deterministically so repeated runs agree.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import StpInstance, WeightedGraph
+from .solvers import dreyfus_wagner
 from .steinlib import parse_int
 
 
@@ -94,15 +96,33 @@ def parse_x3c_source(text: str) -> tuple[int, list[tuple[int, int, int]]]:
 class ReductionOutput:
     """A reduced instance plus the machinery to interpret its solutions.
 
-    ``bound`` is the YES-threshold: the source instance is satisfiable /
-    coverable exactly when ``instance`` admits a tree of cost <= bound.
     ``roles`` names every constructed vertex by its gadget function.
     """
 
     instance: StpInstance
     source_kind: str
-    bound: float
     roles: dict[int, str] = field(repr=False)
+
+    @property
+    def bound(self) -> float:
+        """The YES-threshold: the source instance is satisfiable / coverable
+        exactly when ``instance`` admits a tree of cost <= bound."""
+        return self.instance.bound
+
+    def certify(self) -> dict:
+        """The source verdict from an optimal tree (a NO is sound only from
+        an optimum): its cost, the bound, the verdict, the decoded witness
+        and, on YES only, whether the source accepts that witness."""
+        tree = dreyfus_wagner(self.instance)
+        yes = tree.cost <= self.bound + 1e-9
+        witness = self.decode_witness(tree)
+        return {
+            "optimal_cost": tree.cost,
+            "bound": self.bound,
+            "yes_instance": yes,
+            "witness": witness,
+            "witness_ok": bool(self.verify_witness(witness)) if yes else None,
+        }
 
     def decode_witness(self, tree):
         """The source certificate a ``SteinerTree`` on ``instance`` encodes."""
@@ -202,7 +222,7 @@ def reduce_sat(n_vars: int, clauses) -> SatReduction:
         graph=graph, terminals=terminals, bound=bound, name=f"sat-v{n}-c{m}"
     )
     return SatReduction(
-        instance=instance, source_kind="sat", bound=bound, roles=roles,
+        instance=instance, source_kind="sat", roles=roles,
         n_vars=n, clauses=tuple(clauses), lit_vertex=lit_vertex,
     )
 
@@ -232,15 +252,15 @@ class MvcReduction(ReductionOutput):
         return meta
 
 
-def reduce_mvc(n: int, edges, k: int, complete: bool = True) -> MvcReduction:
+def reduce_mvc(n: int, edges, k: int) -> MvcReduction:
     """Vertex cover -> STP: root, one vertex per source vertex and edge.
 
     Unit edges run root -> vertex stand-in -> edge stand-in (for incident
     edges).  Terminals are the root plus all edge stand-ins, so a tree of
-    cost |E| + k exists exactly when k vertices cover every edge.  With
-    ``complete`` the graph is filled to a clique by edges heavier than the
-    bound; they change no optimum but produce the dense instances this
-    family is reported on.
+    cost |E| + k exists exactly when k vertices cover every edge.  The
+    graph is then filled to a clique by edges heavier than the bound; they
+    change no optimum but produce the dense instances this family is
+    reported on.
     """
     source_edges = []
     seen = set()
@@ -272,13 +292,12 @@ def reduce_mvc(n: int, edges, k: int, complete: bool = True) -> MvcReduction:
 
     bound = float(len(source_edges) + k)
     total = 1 + n + len(source_edges)
-    if complete:
-        present = {(min(a, b), max(a, b)) for a, b, _ in stp_edges}
-        heavy = bound + 1.0
-        for a in range(total):
-            for b in range(a + 1, total):
-                if (a, b) not in present:
-                    stp_edges.append((a, b, heavy))
+    present = {(min(a, b), max(a, b)) for a, b, _ in stp_edges}
+    heavy = bound + 1.0
+    for a in range(total):
+        for b in range(a + 1, total):
+            if (a, b) not in present:
+                stp_edges.append((a, b, heavy))
 
     graph = WeightedGraph(total, stp_edges)
     terminals = frozenset({root}) | frozenset(edge_vertex.values())
@@ -287,7 +306,7 @@ def reduce_mvc(n: int, edges, k: int, complete: bool = True) -> MvcReduction:
         name=f"mvc-n{n}-m{len(source_edges)}-k{k}",
     )
     return MvcReduction(
-        instance=instance, source_kind="mvc", bound=bound, roles=roles,
+        instance=instance, source_kind="mvc", roles=roles,
         n_source=n, source_edges=tuple(source_edges), k=k,
         vertex_vertex=vertex_vertex,
     )
@@ -364,6 +383,13 @@ def reduce_x3c(n_elements: int, triples) -> X3cReduction:
         name=f"x3c-q{q}-s{len(triples)}",
     )
     return X3cReduction(
-        instance=instance, source_kind="x3c", bound=bound, roles=roles,
+        instance=instance, source_kind="x3c", roles=roles,
         n_elements=n_elements, triples=tuple(triples), triple_vertex=triple_vertex,
     )
+
+
+REDUCTIONS = {
+    "sat": (parse_dimacs, reduce_sat),
+    "mvc": (parse_mvc_source, reduce_mvc),
+    "x3c": (parse_x3c_source, reduce_x3c),
+}

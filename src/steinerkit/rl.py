@@ -107,13 +107,14 @@ class EpisodeState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transition:
     """One replayed step, holding the network inputs it was played from.
 
     ``before``/``after`` own their state bits and feature rows (the episode
     replaces, never mutates, them), so later steps leave a transition as
-    recorded; the instance constants are shared.
+    recorded; the instance constants are shared.  Transitions compare and
+    hash by identity.
     """
 
     before: NetInput
@@ -233,22 +234,19 @@ def ddqn_target(transition: Transition, env_params: QNetParams,
     """Double estimator: the frozen net prices the live net's ``greedy_vertex`` successor.
 
     ``target_q`` memoises the frozen net's values of ``transition.after``
-    as ``id(transition) -> (transition, values)``; the entry holds the
-    transition, so its id is not reused while the entry lives.  It is valid
-    only while ``target_params`` stays unchanged.
+    by transition; it is valid only while ``target_params`` stays unchanged.
     """
     if transition.done:
         return transition.reward
     if not transition.next_frontier:
         raise ValueError("non-terminal transition with empty next frontier")
     v_star = greedy_vertex(transition.next_frontier, q_values(env_params, transition.after))
-    key = id(transition)
-    if target_q is not None and key in target_q:
-        q_tgt = target_q[key][1]
+    if target_q is not None and transition in target_q:
+        q_tgt = target_q[transition]
     else:
         q_tgt = q_values(target_params, transition.after)
         if target_q is not None:
-            target_q[key] = (transition, q_tgt)
+            target_q[transition] = q_tgt
     return transition.reward + gamma * float(q_tgt[v_star])
 
 
@@ -285,7 +283,7 @@ class DdqnConfig:
     """Trainer knobs; defaults follow the reported best settings."""
 
     p_dim: int = 64
-    k: int = 2
+    k: int = DEFAULT_K
     gamma: float = 0.2
     lr: float = 1e-4
     batch: int = 16

@@ -51,7 +51,6 @@ def parse_steinlib(text: str) -> StpInstance:
     name: str | None = None
     known_opt: float | None = None
     bound: float | None = None
-    saw_graph = False
     saw_terminals = False
     section: str | None = None
 
@@ -70,9 +69,7 @@ def parse_steinlib(text: str) -> StpInstance:
             if len(parts) < 2:
                 raise SteinlibParseError(line_no, "SECTION without a name")
             section = parts[1].lower()
-            if section == "graph":
-                saw_graph = True
-            elif section == "terminals":
+            if section == "terminals":
                 saw_terminals = True
             continue
         if upper == "END":
@@ -135,7 +132,7 @@ def parse_steinlib(text: str) -> StpInstance:
             continue
         # lines of ignored sections (Coordinates etc.) fall through here
 
-    if not saw_graph or nodes is None:
+    if nodes is None:
         raise SteinlibParseError(len(lines), "missing SECTION Graph")
     if not saw_terminals:
         raise SteinlibParseError(len(lines), "missing SECTION Terminals")

@@ -375,6 +375,8 @@ class TestReduce:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: 16 terminals exceed the exact-solver cap of 14\n"
+        assert not (tmp_path / "x.stp").exists()
+        assert not (tmp_path / "x.witness.json").exists()
 
     def test_malformed_source_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"

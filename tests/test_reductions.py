@@ -161,10 +161,10 @@ class TestSatEquivalence:
 
 class TestMvcConstruction:
     def test_sizes_and_bound(self):
-        red = reduce_mvc(4, [(0, 1), (1, 2), (2, 3)], k=2, complete=False)
+        red = reduce_mvc(4, [(0, 1), (1, 2), (2, 3)], k=2)
         g = red.instance.graph
         assert g.vertex_count == 1 + 4 + 3
-        assert g.edge_count == 4 + 2 * 3
+        assert sum(1 for _, _, w in g.edges if w == 1.0) == 4 + 2 * 3
         assert red.bound == 3 + 2
         assert len(red.instance.terminals) == 1 + 3
 
@@ -195,8 +195,7 @@ class TestMvcConstruction:
 
 
 class TestMvcEquivalence:
-    @pytest.mark.parametrize("complete", [False, True])
-    def test_yes_iff_cost_meets_bound(self, complete):
+    def test_yes_iff_cost_meets_bound(self):
         rng = np.random.default_rng(202)
         yes = no = 0
         for trial in range(20):
@@ -204,7 +203,7 @@ class TestMvcEquivalence:
             m = int(rng.integers(2, 6))
             edges = random_vc(rng, n, m)
             k = int(rng.integers(0, n))
-            red = reduce_mvc(n, edges, k, complete=complete)
+            red = reduce_mvc(n, edges, k)
             tree = dreyfus_wagner(red.instance)
             cover = brute_force_min_cover(n, edges, k)
             meets = tree.cost <= red.bound + 1e-9
@@ -298,7 +297,7 @@ class TestMetadata:
         assert meta["bound"] == red.bound
 
     def test_mvc_metadata(self):
-        red = reduce_mvc(3, [(0, 1)], k=1, complete=False)
+        red = reduce_mvc(3, [(0, 1)], k=1)
         assert red.metadata()["source"] == {"vertices": 3, "edges": 1, "k": 1}
 
     def test_x3c_metadata(self):
@@ -335,11 +334,18 @@ def x3c_sources(draw):
 
 def assert_verdict_matches(red, source_is_yes: bool) -> None:
     """The exact tree meets the YES-bound iff brute force says YES, and a
-    YES tree decodes to a witness the source accepts."""
+    YES tree decodes to a witness the source accepts; ``certify`` reports
+    the same verdict, and judges the witness on YES only."""
     tree = dreyfus_wagner(red.instance)
-    assert (tree.cost <= red.bound + 1e-9) == source_is_yes
+    meets = tree.cost <= red.bound + 1e-9
+    assert meets == source_is_yes
     if source_is_yes:
         assert red.verify_witness(red.decode_witness(tree))
+    check = red.certify()
+    assert list(check) == ["optimal_cost", "bound", "yes_instance", "witness", "witness_ok"]
+    assert check["optimal_cost"] == tree.cost and check["bound"] == red.bound
+    assert check["yes_instance"] is meets
+    assert check["witness_ok"] is (True if source_is_yes else None)
 
 
 class TestYesBoundProperties:
@@ -351,10 +357,10 @@ class TestYesBoundProperties:
                                brute_force_sat(n_vars, clauses) is not None)
 
     @settings(max_examples=60, deadline=None)
-    @given(source=mvc_sources(), complete=st.booleans())
-    def test_mvc(self, source, complete):
+    @given(source=mvc_sources())
+    def test_mvc(self, source):
         n, edges, k = source
-        assert_verdict_matches(reduce_mvc(n, edges, k, complete=complete),
+        assert_verdict_matches(reduce_mvc(n, edges, k),
                                brute_force_min_cover(n, edges, k) is not None)
 
     @settings(max_examples=60, deadline=None)

@@ -533,9 +533,8 @@ class TestTargetMemo:
             loss = observe(params, transition)
             window = learner.steps % cfg.target_sync
             since_sync = drawn[len(drawn) - window:] if window else []
-            expected = {id(t): t for batch in since_sync for t in batch if not t.done}
-            assert learner.target_q.keys() == expected.keys()
-            assert all(tr is expected[key] for key, (tr, _) in learner.target_q.items())
+            expected = {t for batch in since_sync for t in batch if not t.done}
+            assert learner.target_q.keys() == expected
             assert len(learner.target_q) <= window * cfg.batch
             return loss
 

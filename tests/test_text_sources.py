@@ -74,11 +74,10 @@ def test_dimacs_soup(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=soup(["#", *NUMBERS], "3 2 1\n0 1\n1 2\n"), complete=st.booleans())
-def test_mvc_soup(text, complete):
+@given(text=soup(["#", *NUMBERS], "3 2 1\n0 1\n1 2\n"))
+def test_mvc_soup(text):
     with suppress(ValueError):
-        n, edges, k = parse_mvc_source(text)
-        reduce_mvc(n, edges, k, complete=complete)
+        reduce_mvc(*parse_mvc_source(text))
 
 
 @settings(max_examples=300, deadline=None)
