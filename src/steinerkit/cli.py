@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         value = getattr(defaults, name)
         p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     p.add_argument("--validation", type=int, default=20,
-                   help="held-out instances for checkpoint selection")
+                   help="instances for checkpoint selection: the source's first "
+                        "ones (a spec's seeded from --seed + 1000000; a file's or "
+                        "directory's are the training instances themselves)")
     p.add_argument("--sweep", choices=tuple(SWEEPS),
                    help="emit one learning curve per value of this knob")
     p.add_argument("--out", help="output prefix (checkpoint + curve)")

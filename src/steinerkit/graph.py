@@ -28,7 +28,6 @@ class WeightedGraph:
             raise ValueError(f"vertex_count must be >= 1, got {vertex_count}")
         self.vertex_count = int(vertex_count)
         canonical = []
-        seen = set()
         adj: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
         weights: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
@@ -39,12 +38,11 @@ class WeightedGraph:
                 raise ValueError(f"self loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if (u, v) in weights:
                 raise ValueError(f"duplicate edge ({u},{v})")
             w = float(w)
             if not w > 0 or not math.isfinite(w):
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            seen.add((u, v))
             canonical.append((u, v, w))
             weights[(u, v)] = w
         canonical.sort()

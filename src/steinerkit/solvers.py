@@ -24,7 +24,7 @@ from .graph import (
 DW_TERMINAL_CAP = 14
 # Element budget of each temporary array one merge rectangle or relaxation
 # block of the Dreyfus-Wagner subset DP builds (merge candidates,
-# relaxation sums).
+# relaxation minima and sums).
 _DW_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -212,15 +212,16 @@ def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     Masks are solved one popcount level at a time, since a mask depends
     only on smaller ones.  Each level builds one table of its splits
     (``_dw_halves``), merges the whole level in rectangles of that table,
-    then relaxes it in blocks of masks.  Every rectangle and block holds at
-    most ``_DW_BLOCK_ELEMENTS`` elements (the merge gathers and the
-    relaxation sums reuse two buffers of that size); past the ``(2^t, n)``
-    table and the ``n x n`` metric, the largest arrays are one level's
-    split table and merge result.  The table keeps 8 bytes per entry, the
-    cost alone: reconstruction recovers the relaxation vertex and the
-    split at each ``(mask, vertex)`` it visits (``_dw_backtrack``).  Ties
-    resolve as a scalar loop would: the lowest relaxation vertex and the
-    first split in descending submask order win.
+    then relaxes it in blocks of masks, one relaxation vertex at a time.
+    Every rectangle and block holds at most ``_DW_BLOCK_ELEMENTS`` elements
+    (the merge gathers and the relaxation's running minimum and sums reuse
+    two buffers of that size); past the ``(2^t, n)`` table and the ``n x n``
+    metric, the largest arrays are one level's split table and merge
+    result.  The table keeps 8 bytes per entry, the cost alone:
+    reconstruction recovers the relaxation vertex and the split at each
+    ``(mask, vertex)`` it visits (``_dw_backtrack``).  Ties resolve as a
+    scalar loop would: the lowest relaxation vertex and the first split in
+    descending submask order win.
     """
     over, cap = over_exact_cap([instance])
     if over:
@@ -242,18 +243,17 @@ def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
     for i, term in enumerate(others):
         dp[1 << i] = dist[term]
 
-    dist_t = np.ascontiguousarray(dist.T)
     # gather and relaxation buffers, reused so rectangles and blocks fault
     # in no fresh pages; each needs at least one n-row
     scratch = np.empty((2, max(_DW_BLOCK_ELEMENTS, n)))
     every_mask = np.arange(1 << t)
     popcount = sum((every_mask >> i) & 1 for i in range(t))
-    per_relax = max(1, _DW_BLOCK_ELEMENTS // (n * n))
+    per_block = max(1, _DW_BLOCK_ELEMENTS // n)
     for k in range(2, t + 1):
         level = np.flatnonzero(popcount == k)
         tmp = _dw_merge(dp, level, _dw_halves(level, k), scratch)
-        for a in range(0, len(level), per_relax):
-            dp[level[a:a + per_relax]] = _dw_relax(tmp[a:a + per_relax], dist_t, scratch[0])
+        for a in range(0, len(level), per_block):
+            dp[level[a:a + per_block]] = _dw_relax(tmp[a:a + per_block], dist, scratch)
 
     edges: set[tuple[int, int, float]] = set()
     stack = [(full, root)]
@@ -262,7 +262,7 @@ def dreyfus_wagner(instance: StpInstance) -> SteinerTree:
         if mask & (mask - 1) == 0:  # one terminal: dp holds its distance
             u = others[mask.bit_length() - 1]
         else:
-            u, sub = _dw_backtrack(dp, dist_t, mask, v, scratch)
+            u, sub = _dw_backtrack(dp, dist, mask, v, scratch)
             stack += [(sub, u), (mask ^ sub, u)]
         edges |= _path_edges(g, parents[u], u, v)
 
@@ -305,7 +305,7 @@ def _dw_merge(dp: np.ndarray, masks: np.ndarray, halves: np.ndarray,
     return tmp
 
 
-def _dw_backtrack(dp: np.ndarray, dist_t: np.ndarray, mask: int, v: int,
+def _dw_backtrack(dp: np.ndarray, dist: np.ndarray, mask: int, v: int,
                   scratch: np.ndarray) -> tuple[int, int]:
     """The relaxation vertex ``u`` and the split half (holding the lowest
     bit) that solved ``dp[mask][v]``.  Merging ``mask`` again alone gives
@@ -315,7 +315,7 @@ def _dw_backtrack(dp: np.ndarray, dist_t: np.ndarray, mask: int, v: int,
     masks = np.array([mask])
     halves = _dw_halves(masks, mask.bit_count())
     merged = _dw_merge(dp, masks, halves, scratch)[0]
-    u = int((merged + dist_t[v]).argmin())
+    u = int((merged + dist[:, v]).argmin())
     subs = halves[::-1, 0]
     return u, int(subs[(dp[subs, u] + dp[mask ^ subs, u]).argmin()])
 
@@ -336,18 +336,13 @@ def _dw_halves(masks: np.ndarray, k: int) -> np.ndarray:
     return halves[:-1]  # the last row holds every bit: the mask itself
 
 
-def _dw_relax(tmp: np.ndarray, dist_t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _dw_relax(tmp: np.ndarray, dist: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """min over u of tmp[:, u] + dist[u, v] for every row of ``tmp`` and
-    vertex v; ``dist_t`` is dist transposed."""
+    vertex v, folded one relaxation vertex u at a time in the two rows of
+    ``scratch``; the result is a view of ``scratch[0]``."""
     c, n = tmp.shape
-    cost = np.empty((c, n))
-    chunk = max(1, _DW_BLOCK_ELEMENTS // (c * n))
-    for b in range(0, n, chunk):
-        part = dist_t[b:b + chunk]
-        relax = np.add(tmp[:, None, :], part,
-                       out=scratch[:c * part.size].reshape(c, *part.shape))
-        # argmin and a flat take outrun min(axis=2) on these blocks
-        at = relax.argmin(axis=2)
-        at += np.arange(0, relax.size, n).reshape(at.shape)
-        cost[:, b:b + chunk] = np.take(relax, at)
-    return cost
+    best, cand = (row[:c * n].reshape(c, n) for row in scratch)
+    np.add(tmp[:, :1], dist[0], out=best)
+    for u in range(1, n):
+        np.minimum(best, np.add(tmp[:, u:u + 1], dist[u], out=cand), out=best)
+    return best

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import steinerkit
 from steinerkit.cli import _config_from_args, build_parser, main
 from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
@@ -414,3 +417,30 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for sub in ("solve", "train", "bench", "reduce"):
             assert sub in proc.stdout
+
+
+@pytest.mark.slow
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``train``, then ``bench`` with its checkpoint, write the same bytes
+    with one BLAS thread as with two (two keep it within a 2-core machine)."""
+    src = str(Path(steinerkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [
+        ["train", "rr:n=30,m=0.2,w=1:5", "--rounds", "150", "--seed", "7", "--out", "run"],
+        # 8 terminals, under the exact solver's cap
+        ["bench", "rr:n=100,m=0.08,w=1:5", "--methods", "classic,exact,agent",
+         "--checkpoint", "run.ckpt.json", "--trials", "3", "--no-timing", "--out", "run"],
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "steinerkit", *argv], cwd=run_dir,
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
+    assert sorted(outputs[0]) == ["run.ckpt.json", "run.csv", "run.curve.csv", "run.json"]
+    assert outputs[0] == outputs[1]
