@@ -140,13 +140,9 @@ def _bench_one(args) -> list[BenchRow]:
     rows = []
     for method in methods:
         tree, wall = runs[method] if method in runs else solve(method)
-        try:
-            ratio = cost_ratio(tree.cost, ref)
-        except ValueError as exc:
-            raise ValueError(f"instance {instance.id}: {exc}") from None
         rows.append(BenchRow(instance=instance.id, method=method,
                              cost=tree.cost, reference=ref,
-                             ratio=ratio, wall_time=wall))
+                             ratio=cost_ratio(tree.cost, ref), wall_time=wall))
     return rows
 
 

@@ -52,6 +52,8 @@ def _instances(source: str, seed: int):
     """The instances a source names: a one-element list for a .stp file,
     a directory's .stp files in name order (parsed as they are taken), or
     the endless generator stream seeded seed, seed + 1, ..."""
+    if not source.strip():  # Path("") is the working directory
+        raise ValueError("the instance source is empty")
     path = Path(source)
     if path.is_dir():
         files = sorted(path.glob("*.stp"))
@@ -94,9 +96,10 @@ def _require_checkpoint(args, methods):
 
 
 def cmd_solve(args) -> int:
+    instances = _instances(args.instance, args.seed)
     if Path(args.instance).is_dir():
         raise ValueError(f"solve takes one instance, not the directory {args.instance}")
-    instance = next(iter(_instances(args.instance, args.seed)))
+    instance = next(iter(instances))
     params = _require_checkpoint(args, [args.method])
     tree, wall = solve_with_method(instance, args.method, params=params,
                                    active_budget=args.rounds, seed=args.seed)

@@ -43,8 +43,8 @@ def knn_features(table: np.ndarray, active_mask, k: int) -> np.ndarray:
 
     Rows come out ascending and are zero-filled on the right when fewer
     than k active terminals exist (including the empty active set, which
-    yields all-zero rows).  Non-finite distances are dropped before
-    selection so rows stay finite for unreachable vertices.
+    yields all-zero rows).  Infinite distances (unreachable terminals) sort
+    last and are zero-filled, so rows stay finite.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -55,7 +55,6 @@ def knn_features(table: np.ndarray, active_mask, k: int) -> np.ndarray:
     rows = np.zeros((n, k))
     if active.any():
         sub = table[:, active]
-        sub = np.where(np.isfinite(sub), sub, np.inf)
         sub = np.sort(sub, axis=1)[:, :k]
         m = sub.shape[1]
         filled = np.where(np.isfinite(sub), sub, 0.0)

@@ -1,9 +1,9 @@
 """Seeded random instance generators: random-regular, Erdos-Renyi, Watts-Strogatz.
 
 Each vertex becomes a terminal independently with probability ``terminal_ratio``
-(redrawn until at least two terminals exist) and every edge gets a uniform
-integer weight from ``weight_range``.  A generated instance is a pure function
-of its config: the same seed always yields the bit-identical instance.
+(redrawn, at most ``CONNECT_RETRIES`` times, until two terminals exist) and every
+edge gets a uniform integer weight from ``weight_range``.  A generated instance is
+a pure function of its config: the same seed always yields the bit-identical instance.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def generate(config: GeneratorConfig) -> StpInstance:
 
     Graph draws are rejected until connected, then weights are assigned
     edge-by-edge in canonical order, then terminals are drawn until at
-    least two come up.  A config with no connected draw in
-    ``CONNECT_RETRIES`` tries (one below the connectivity threshold)
-    raises a ``ValueError``.
+    least two come up.  A config with no connected draw, or no draw of two
+    terminals, in ``CONNECT_RETRIES`` tries (one below the connectivity
+    threshold, or with a tiny terminal ratio) raises a ``ValueError``.
     """
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     pairs = _connected_edge_set(config, rng)
@@ -70,12 +70,13 @@ def generate(config: GeneratorConfig) -> StpInstance:
     edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
     graph = WeightedGraph(config.n, edges)
 
-    while True:
+    for _ in range(CONNECT_RETRIES):
         mask = rng.random(config.n) < config.terminal_ratio
         if mask.sum() >= 2:
-            break
-    terminals = frozenset(int(i) for i in np.flatnonzero(mask))
-    return StpInstance(graph=graph, terminals=terminals, name=config.instance_name)
+            terminals = frozenset(int(i) for i in np.flatnonzero(mask))
+            return StpInstance(graph=graph, terminals=terminals, name=config.instance_name)
+    raise ValueError(f"terminal ratio {config.terminal_ratio:g} drew fewer than two of "
+                     f"{config.n} vertices in {CONNECT_RETRIES} draws; raise the ratio or n")
 
 
 def _connected_edge_set(config: GeneratorConfig, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -50,7 +50,7 @@ class WeightedGraph:
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(tuple(nbrs) for nbrs in adj)  # sorted, as self.edges is
         self._weights = weights
         self._adj_matrix: np.ndarray | None = None
         self._hash: int | None = None

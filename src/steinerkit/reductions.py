@@ -49,7 +49,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         clauses.append(current)
     if n_vars is None:
         raise ValueError("missing 'p cnf' header")
-    if n_clauses is not None and len(clauses) != n_clauses:
+    if len(clauses) != n_clauses:
         raise ValueError(f"header promises {n_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses
 

@@ -7,8 +7,8 @@ distance mass, plus a bonus for reaching a terminal.  Training is double
 deep Q-learning: actions picked by the live network, valued by a frozen
 target copy, from uniformly sampled replay.  A replayed transition stores
 the network inputs it was played from and led to, so learning never looks
-the instance up again.  Training, greedy rollouts and active search all
-play their episodes through ``play_episode``.
+the instance up again.  Every episode is played by ``play_episode``;
+``train`` and ``active_search`` learn through one loop around it.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ class Transition:
 
 
 DEFAULT_K = 2
+ACTIVE_ROLLOUT_EVERY = 50  # active-search rounds between greedy rollouts
 
 
 def reset(instance: StpInstance, rng: np.random.Generator | None = None,
@@ -368,12 +369,6 @@ class Learner:
     steps: int = 0
     target_q: dict = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def fresh(cls, params: QNetParams, config: DdqnConfig, buffer_seed) -> "Learner":
-        """Empty replay sampled under ``buffer_seed``; the target copies params."""
-        rng = np.random.default_rng(np.random.PCG64(buffer_seed))
-        return cls(ReplayBuffer(config.replay_cap, rng), params.copy(), config)
-
     def observe(self, params: QNetParams, transition: Transition) -> float | None:
         """Record a transition; once replay is warm, take one SGD step on
         ``params`` (returning its loss) and re-sync the target on schedule."""
@@ -444,6 +439,25 @@ def write_curve_csv(rows, path) -> None:
             ])
 
 
+def _learning_episodes(instances, params: QNetParams, config: DdqnConfig,
+                       rounds: int, episode_ss, buffer_ss):
+    """The loop ``train`` and ``active_search`` share: per round, one episode
+    on the next instance, learned into ``params`` as played, with epsilon
+    annealed over ``rounds``; yields ``(round, epsilon, state, losses)``.
+    Exploration draws from ``episode_ss`` and replay from ``buffer_ss``."""
+    episode_rng = np.random.default_rng(np.random.PCG64(episode_ss))
+    buffer_rng = np.random.default_rng(np.random.PCG64(buffer_ss))
+    learner = Learner(ReplayBuffer(config.replay_cap, buffer_rng), params.copy(), config)
+    schedule = replace(config, rounds=max(rounds, 1))
+    stream = iter(instances)
+    for round_idx in range(rounds):
+        if (instance := next(stream, None)) is None:
+            raise ValueError(f"instance stream exhausted at round {round_idx}")
+        eps = epsilon_at(schedule, round_idx)
+        state, losses = play_episode(instance, params, eps, episode_rng, learner=learner)
+        yield round_idx, eps, state, losses
+
+
 def train(instance_stream, config: DdqnConfig,
           validation_instances=None,
           train_hook=None) -> tuple[QNetParams, list[CurveRow]]:
@@ -456,8 +470,6 @@ def train(instance_stream, config: DdqnConfig,
     ss = np.random.SeedSequence(config.seed)
     init_ss, episode_ss, buffer_ss = ss.spawn(3)
     env_params = init_params(config.p_dim, config.k, init_ss)
-    episode_rng = np.random.default_rng(np.random.PCG64(episode_ss))
-    learner = Learner.fresh(env_params, config, buffer_ss)
 
     val_classic = None
     if validation_instances is not None:
@@ -470,21 +482,13 @@ def train(instance_stream, config: DdqnConfig,
             raise ValueError(f"validation {label} {', '.join(zero)}: classic cost 0 "
                              f"leaves the validation Gain undefined")
 
-    stream = iter(instance_stream)
     curve: list[CurveRow] = []
     best_params = env_params.copy()
     best_gain = math.inf
     last_gain = math.nan
 
-    for round_idx in range(config.rounds):
-        try:
-            instance = next(stream)
-        except StopIteration:
-            raise ValueError(f"instance stream exhausted at round {round_idx}")
-        eps = epsilon_at(config, round_idx)
-        state, losses = play_episode(instance, env_params, eps, episode_rng,
-                                     learner=learner)
-
+    for round_idx, eps, state, losses in _learning_episodes(
+            instance_stream, env_params, config, config.rounds, episode_ss, buffer_ss):
         if validation_instances and (round_idx + 1) % config.validation_every == 0:
             costs = [greedy_rollout(inst, env_params).cost
                      for inst in validation_instances]
@@ -518,34 +522,29 @@ def greedy_rollout(instance: StpInstance, params: QNetParams) -> SteinerTree:
 
 
 def active_search(instance: StpInstance, params: QNetParams, budget_rounds: int,
-                  config: DdqnConfig | None = None, seed: int = 0,
-                  rollout_every: int = 50) -> tuple[SteinerTree, QNetParams]:
+                  config: DdqnConfig | None = None,
+                  seed: int = 0) -> tuple[SteinerTree, QNetParams]:
     """Fine-tune a private parameter copy on one instance while searching.
 
-    Every exploration episode is itself a candidate solution; greedy
-    rollouts under the adapted parameters are retried periodically.  The
-    returned tree is never worse than the initial greedy rollout.
+    Every exploration episode is itself a candidate solution; a greedy
+    rollout under the adapted parameters is retried every
+    ``ACTIVE_ROLLOUT_EVERY`` rounds.  Epsilon anneals over the budget, and
+    the returned tree is never worse than the initial greedy rollout.
     """
     if budget_rounds < 0:
         raise ValueError("budget must be non-negative")
     if config is None:
         config = DdqnConfig(p_dim=params.p_dim, k=params.k, seed=seed)
     local = params.copy()
-    ss = np.random.SeedSequence(seed)
-    episode_ss, buffer_ss = ss.spawn(2)
-    episode_rng = np.random.default_rng(np.random.PCG64(episode_ss))
-    learner = Learner.fresh(local, config, buffer_ss)
+    episode_ss, buffer_ss = np.random.SeedSequence(seed).spawn(2)
 
     best = greedy_rollout(instance, local)
-    schedule = replace(config, rounds=max(budget_rounds, 1))
-
-    for round_idx in range(budget_rounds):
-        eps = epsilon_at(schedule, round_idx)
-        state, _ = play_episode(instance, local, eps, episode_rng, learner=learner)
+    for round_idx, _, state, _ in _learning_episodes(
+            [instance] * budget_rounds, local, config, budget_rounds, episode_ss, buffer_ss):
         candidate = _episode_tree(state)
         if candidate.cost < best.cost:
             best = candidate
-        if (round_idx + 1) % rollout_every == 0:
+        if (round_idx + 1) % ACTIVE_ROLLOUT_EVERY == 0:
             candidate = greedy_rollout(instance, local)
             if candidate.cost < best.cost:
                 best = candidate

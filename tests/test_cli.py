@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steinerkit
 from steinerkit.cli import _config_from_args, build_parser, main
@@ -112,6 +117,13 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: no connected er graph found in 1000 draws; "
             "parameters are likely below the connectivity threshold\n")
+
+    def test_terminal_ratio_that_draws_no_pair_is_a_named_error(self, capsys):
+        rc = main(["solve", "rr:n=30,m=0.000001", "--method", "classic"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: terminal ratio 1e-06 drew fewer than two of 30 vertices in "
+            "1000 draws; raise the ratio or n\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda payload: [], "not a qnet-checkpoint file"),
@@ -406,6 +418,86 @@ def test_every_source_kind(command, kind, diamond_file, stp_dir, tmp_path, capsy
         assert err == f"error: solve takes one instance, not the directory {source}\n"
     else:
         assert rc == 0, err
+
+
+@pytest.mark.parametrize("source", ["", "  "])
+@pytest.mark.parametrize("command", ["solve", "train", "bench"])
+def test_empty_source_is_a_named_error(command, source, diamond_file, capsys,
+                                       monkeypatch):
+    monkeypatch.chdir(diamond_file.parent)  # Path("") would name this directory
+    rc = main([command, source, "--rounds", "1", "--out", "out"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the instance source is empty\n"
+    assert sorted(p.name for p in diamond_file.parent.iterdir()) == ["diamond.stp"]
+
+
+# The argv vocabulary of the fuzz below: paths name the files it writes into
+# a fresh working directory per example.
+PATHS = ("", " ", "absent.stp", "absent-dir/", ".", "one.stp", "ckpt.json",
+         "not-ckpt.json")
+SPEC_VALUES = {"n": ("-1", "3", "8", "40"), "m": ("0", "1e-06", "0.05", "0.2", "1", "1.5"),
+               "w": ("1:5", "0:3", "2:1", "x"), "d": ("-1", "0", "1", "3", "4", "40"),
+               "p": ("0", "1e-09", "0.3", "1", "2"), "k": ("-2", "0", "3", "4", "40")}
+COUNTS = ("-1", "0", "1", "2")
+COMMAND_FLAGS = {  # flag -> values; the first flags are always given
+    "solve": {"--rounds": COUNTS, "--method": ("classic", "exact", "agent", "active"),
+              "--checkpoint": PATHS, "--seed": ("-3", "0")},
+    "train": {"--rounds": COUNTS, "--validation": COUNTS, "--batch": ("0", "1", "4"),
+              "--p-dim": ("0", "2"), "--k": ("0", "1", "3"), "--sweep": ("batch", "k"),
+              "--seed": ("-3", "0")},
+    "bench": {"--trials": COUNTS, "--rounds": COUNTS,
+              "--methods": ("", "classic", "classic,exact", "agent,active", "exact,x"),
+              "--reference": ("classic", "exact", "opt", "bound"),
+              "--checkpoint": PATHS, "--workers": ("0", "1"), "--no-timing": None},
+}
+ALWAYS = {"solve": 1, "train": 1, "bench": 2}
+
+
+@st.composite
+def specs(draw):
+    model = draw(st.sampled_from(["rr", "er", "ws", "xx"]))
+    keys = draw(st.lists(st.sampled_from(sorted(SPEC_VALUES)), unique=True, max_size=3))
+    return model + ":" + ",".join(f"{k}={draw(st.sampled_from(SPEC_VALUES[k]))}"
+                                  for k in keys)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["solve", "train", "bench", "reduce"]))
+    if command == "reduce":
+        argv = ["reduce", draw(st.sampled_from(["sat", "mvc", "x3c", "cnf"])),
+                draw(st.sampled_from(PATHS + ("sat.cnf", "bad.txt")))]
+        return argv + (["--check"] if draw(st.booleans()) else [])
+    argv = [command, draw(st.sampled_from(PATHS) | specs())]
+    for i, (flag, values) in enumerate(COMMAND_FLAGS[command].items()):
+        if i < ALWAYS[command] or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exits_0_or_2_with_one_error_line(argv):
+    """Any argv over the vocabulary exits 0, or 2 (argparse's ``SystemExit(2)``
+    included) with exactly one ``error:`` line on stderr, and raises nothing
+    else.  Specs keep n <= 40 because no input reader checks a size budget
+    yet (the ROADMAP's size-budget item), so a large drawn n could exhaust
+    memory; the counts stay small so each example runs in well under a second."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        write_steinlib_file(DIAMOND, "one.stp")
+        save_checkpoint(init_params(2, 2, seed=0), "ckpt.json")
+        Path("not-ckpt.json").write_text('{"params": {}}\n')
+        Path("sat.cnf").write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+        Path("bad.txt").write_text("p cnf x\n1 0\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+    assert rc in (0, 2), err.getvalue()
+    error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(error_lines) == (rc == 2), err.getvalue()
 
 
 class TestEntryPoint:

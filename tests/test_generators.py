@@ -4,6 +4,7 @@ from scipy.stats import chisquare
 
 from steinerkit.generators import (
     GeneratorConfig,
+    _connected_edge_set,
     erdos_renyi_edges,
     generate,
     parse_generator_spec,
@@ -67,6 +68,28 @@ class TestGenerate:
         cfg = GeneratorConfig(model="er", n=30, p=0.01, seed=0)
         with pytest.raises(ValueError, match="connected"):
             generate(cfg)
+
+    def test_terminal_ratio_that_draws_no_pair_raises(self):
+        cfg = GeneratorConfig(model="rr", n=30, terminal_ratio=1e-6, seed=0)
+        with pytest.raises(ValueError, match=r"terminal ratio 1e-06 drew fewer than two "
+                                             r"of 30 vertices in 1000 draws"):
+            generate(cfg)
+
+    def test_terminal_redraws_consume_the_stream_as_an_unbounded_loop(self):
+        """Configs that redraw their terminals within the budget keep the
+        terminals an unbounded redraw loop gives."""
+        redrawn = 0
+        for seed in range(20):
+            cfg = GeneratorConfig(model="er", n=5, terminal_ratio=0.3, seed=seed)
+            rng = np.random.default_rng(np.random.PCG64(seed))
+            pairs = _connected_edge_set(cfg, rng)
+            rng.integers(1, 6, size=len(pairs))
+            mask = rng.random(cfg.n) < cfg.terminal_ratio
+            while mask.sum() < 2:
+                redrawn += 1
+                mask = rng.random(cfg.n) < cfg.terminal_ratio
+            assert generate(cfg).terminals == frozenset(np.flatnonzero(mask).tolist())
+        assert redrawn > 0
 
 
 class TestRandomRegular:

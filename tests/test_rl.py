@@ -60,6 +60,12 @@ def recorded_step(state, v):
                       next_frontier=state.frontier_sorted, done=state.done)
 
 
+def fresh_learner(params, cfg):
+    """Empty replay sampled under seed 0; the target copies params."""
+    buf = ReplayBuffer(cfg.replay_cap, np.random.default_rng(0))
+    return Learner(buf, params.copy(), cfg)
+
+
 def record_only_learner(buf, params):
     """A learner whose warm-up outlasts its buffer: it only records."""
     cfg = DdqnConfig(p_dim=params.p_dim, k=params.k,
@@ -501,7 +507,7 @@ class TestTargetMemo:
         def run():
             calls.clear()
             params = init_params(2, 2, seed=0)
-            learner = Learner.fresh(params, self.CONFIG, 0)
+            learner = fresh_learner(params, self.CONFIG)
             losses = self.learn(learner, params)
             return params, losses, learner.steps, len(calls)
 
@@ -521,7 +527,7 @@ class TestTargetMemo:
     def test_memo_holds_the_successors_drawn_since_the_last_sync(self):
         cfg = self.CONFIG
         params = init_params(2, 2, seed=0)
-        learner = Learner.fresh(params, cfg, 0)
+        learner = fresh_learner(params, cfg)
         drawn = []
         sample, observe = learner.buffer.sample, learner.observe
 
@@ -739,16 +745,34 @@ class TestActiveSearch:
         with pytest.raises(ValueError, match="budget"):
             active_search(small_instance(0), init_params(2, 2, seed=0), -1)
 
-    def test_never_worse_than_rollout(self):
+    def test_never_worse_than_rollout(self, monkeypatch):
+        monkeypatch.setattr(rl_module, "ACTIVE_ROLLOUT_EVERY", 3)  # read at call time
         for seed in range(3):
             inst = small_instance(seed, n=9)
             params = init_params(2, 2, seed=seed)
             cfg = DdqnConfig(p_dim=2, k=2, batch=4, warmup_batches=1,
                              lr=1e-3, rounds=1)
             tree, _ = active_search(inst, params, budget_rounds=6, config=cfg,
-                                    seed=seed, rollout_every=3)
+                                    seed=seed)
             assert tree.cost <= greedy_rollout(inst, params).cost + 1e-9
             verify_tree(inst, tree.edges)
+
+    def test_epsilon_anneals_over_the_budget_not_config_rounds(self, monkeypatch):
+        learning = []
+        real_play_episode = rl_module.play_episode
+
+        def recorded(instance, params, epsilon, *args, learner=None, **kwargs):
+            if learner is not None:
+                learning.append(epsilon)
+            return real_play_episode(instance, params, epsilon, *args,
+                                     learner=learner, **kwargs)
+
+        monkeypatch.setattr(rl_module, "play_episode", recorded)
+        cfg = DdqnConfig(p_dim=2, k=2, batch=4, warmup_batches=1)  # rounds=6000
+        active_search(small_instance(1), init_params(2, 2, seed=0), budget_rounds=5,
+                      config=cfg)
+        # the horizon is int(5 x 0.8) = 4 rounds of the budget
+        assert learning == pytest.approx([0.1, 0.075, 0.05, 0.025, 0.0])
 
     def test_original_params_untouched(self):
         inst = small_instance(2)
