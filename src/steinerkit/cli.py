@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from types import GeneratorType
 
 from .bench import (
     ACTIVE_BUDGET,
@@ -48,10 +48,11 @@ SWEEPS = {
 }
 
 
-def _instances(source: str, seed: int):
-    """The instances a source names: a one-element list for a .stp file,
-    a directory's .stp files in name order (parsed as they are taken), or
-    the endless generator stream seeded seed, seed + 1, ..."""
+def _resolve(source: str, seed: int):
+    """``(kind, instances)`` of what a source names: an existing "directory"'s
+    .stp files in name order, parsed as they are taken; an existing "file",
+    read as .stp whatever its suffix; else, unless it looks like a path, a
+    "spec": the endless generator stream seeded seed, seed + 1, ..."""
     if not source.strip():  # Path("") is the working directory
         raise ValueError("the instance source is empty")
     path = Path(source)
@@ -59,21 +60,15 @@ def _instances(source: str, seed: int):
         files = sorted(path.glob("*.stp"))
         if not files:
             raise ValueError(f"no .stp files under {source}")
-        return map(parse_steinlib_file, files)
+        return "directory", map(parse_steinlib_file, files)
+    if path.is_file():
+        return "file", [parse_steinlib_file(path)]
     if source.endswith(".stp"):
-        if not path.is_file():
-            raise ValueError(f"instance file not found: {source}")
-        return [parse_steinlib_file(path)]
+        raise ValueError(f"instance file not found: {source}")
+    if any(c in source.partition(":")[0] for c in (".", "/", os.sep)):
+        raise ValueError(f"instance source not found: {source}")
     base = parse_generator_spec(source, seed=seed)
-    return (generate(replace(base, seed=seed + i)) for i in itertools.count())
-
-
-def _training_stream(source: str, seed: int):
-    """Endless spec streams as they are; finite sources cycled."""
-    instances = _instances(source, seed)
-    if isinstance(instances, GeneratorType):
-        return instances
-    return itertools.cycle(list(instances))
+    return "spec", (generate(replace(base, seed=seed + i)) for i in itertools.count())
 
 
 def _first(instances, count: int, flag: str) -> list:
@@ -96,8 +91,8 @@ def _require_checkpoint(args, methods):
 
 
 def cmd_solve(args) -> int:
-    instances = _instances(args.instance, args.seed)
-    if Path(args.instance).is_dir():
+    kind, instances = _resolve(args.instance, args.seed)
+    if kind == "directory":
         raise ValueError(f"solve takes one instance, not the directory {args.instance}")
     instance = next(iter(instances))
     params = _require_checkpoint(args, [args.method])
@@ -131,15 +126,20 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     out = args.out or "train"
-    validation = _first(_instances(args.source, args.seed + VALIDATION_SEED_OFFSET),
-                        args.validation, "--validation")
+    kind, instances = _resolve(args.source, args.seed)
+    if kind == "spec":  # a fresh stream for every run; validation seeded apart
+        validation = _resolve(args.source, args.seed + VALIDATION_SEED_OFFSET)[1]
+        streams = (_resolve(args.source, args.seed)[1] for _ in itertools.count())
+    else:  # every file parsed once, then cycled by every run
+        validation = instances = list(instances)
+        streams = (itertools.cycle(instances) for _ in itertools.count())
+    validation = _first(validation, args.validation, "--validation")
 
     if args.sweep:
         field = args.sweep
         # every value's config is checked before any of them trains
         configs = [replace(_config_from_args(args), **{field: v}) for v in SWEEPS[field]]
-        for value, cfg in zip(SWEEPS[field], configs):
-            stream = _training_stream(args.source, cfg.seed)
+        for value, cfg, stream in zip(SWEEPS[field], configs, streams):
             _, curve = train(stream, cfg, validation_instances=validation)
             tag = f"{value:g}" if isinstance(value, float) else str(value)
             write_curve_csv(curve, f"{out}.sweep-{field}-{tag}.curve.csv")
@@ -148,8 +148,7 @@ def cmd_train(args) -> int:
         return 0
 
     cfg = _config_from_args(args)
-    stream = _training_stream(args.source, cfg.seed)
-    params, curve = train(stream, cfg, validation_instances=validation)
+    params, curve = train(next(streams), cfg, validation_instances=validation)
     ckpt = f"{out}.ckpt.json"
     save_checkpoint(params, ckpt, meta={"config": asdict(cfg)})
     write_curve_csv(curve, f"{out}.curve.csv")
@@ -158,11 +157,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _, source = _resolve(args.source, args.seed)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError("no methods given")
     params = _require_checkpoint(args, methods)
-    instances = _first(_instances(args.source, args.seed), args.trials, "--trials")
+    instances = _first(source, args.trials, "--trials")
     report = run_bench(instances, methods, reference=args.reference,
                        params=params, active_budget=args.rounds,
                        seed=args.seed, workers=args.workers)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinerkit
+from steinerkit import cli
 from steinerkit.cli import _config_from_args, build_parser, main
 from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.qnet import init_params, load_checkpoint, save_checkpoint
-from steinerkit.rl import DdqnConfig
+from steinerkit.rl import DdqnConfig, train
 from steinerkit.steinlib import parse_steinlib_file, write_steinlib_file
 
 # diamond fixture: optimum is 0-1-2-3 at cost 4, classic also finds it
@@ -431,10 +433,75 @@ def test_empty_source_is_a_named_error(command, source, diamond_file, capsys,
     assert sorted(p.name for p in diamond_file.parent.iterdir()) == ["diamond.stp"]
 
 
+NOT_FOUND = "instance source not found: {}"
+SPEC_ERROR = "model must be one of ('rr', 'er', 'ws'), got 'foo'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "absent-dir/", "--trials", "1"], NOT_FOUND),
+    (["train", "missing.json", "--rounds", "1"], NOT_FOUND),
+    (["solve", "absent-dir/"], NOT_FOUND),
+    (["bench", "./absent:x", "--methods", ""], NOT_FOUND),
+    (["solve", "foo:n=30"], SPEC_ERROR),
+    (["train", "foo:n=30"], SPEC_ERROR),
+    (["bench", "foo:n=30"], SPEC_ERROR),
+], ids=["bench-dir", "train-json", "solve-dir", "bench-dotted-head",
+        "solve-spec", "train-spec", "bench-spec"])
+def test_missing_path_is_not_found_and_anything_else_a_spec(argv, message, tmp_path,
+                                                            monkeypatch, capsys):
+    """A source that looks like a path is never read as a generator spec,
+    and every command reports its source before any other argument."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(argv[1])}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_file_is_read_as_stp_whatever_its_suffix(diamond_file, capsys):
+    path = diamond_file.rename(diamond_file.with_suffix(".txt"))
+    rc = main(["solve", str(path), "--method", "exact"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == 4.0
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "k"]], ids=["plain", "sweep-k"])
+def test_train_parses_a_directory_once_and_validates_on_its_instances(
+        sweep, stp_dir, tmp_path, monkeypatch):
+    """Every file is parsed once per command, however many runs train on
+    it, and the validation instances are the objects that training plays."""
+    write_steinlib_file(generate(parse_generator_spec("rr:n=10,m=0.3", seed=2)),
+                        stp_dir / "c-rr.stp")
+    parsed, runs = [], []
+
+    def counting_parse(path):
+        parsed.append(Path(path).name)
+        return parse_steinlib_file(path)
+
+    def spying_train(stream, config, validation_instances=None):
+        head = list(itertools.islice(stream, 6))
+        runs.append((head, validation_instances))
+        return train(itertools.chain(head, stream), config,
+                     validation_instances=validation_instances)
+
+    monkeypatch.setattr(cli, "parse_steinlib_file", counting_parse)
+    monkeypatch.setattr(cli, "train", spying_train)
+    rc = main(["train", str(stp_dir), *TRAIN_FLAGS, *sweep, "--out", str(tmp_path / "t")])
+    assert rc == 0
+    assert parsed == ["a-diamond.stp", "b-er.stp", "c-rr.stp"]
+    assert len(runs) == (4 if sweep else 1)
+    first = runs[0][0][:3]
+    assert len(set(map(id, first))) == 3
+    for head, validation in runs:
+        assert list(map(id, head)) == list(map(id, first * 2))  # the one list, cycled
+        assert list(map(id, validation)) == list(map(id, first[:2]))
+
+
 # The argv vocabulary of the fuzz below: paths name the files it writes into
 # a fresh working directory per example.
 PATHS = ("", " ", "absent.stp", "absent-dir/", ".", "one.stp", "ckpt.json",
          "not-ckpt.json")
+MISSING_PATHS = ("absent.stp", "absent-dir/")  # look like paths, so never specs
 SPEC_VALUES = {"n": ("-1", "3", "8", "40"), "m": ("0", "1e-06", "0.05", "0.2", "1", "1.5"),
                "w": ("1:5", "0:3", "2:1", "x"), "d": ("-1", "0", "1", "3", "4", "40"),
                "p": ("0", "1e-09", "0.3", "1", "2"), "k": ("-2", "0", "3", "4", "40")}
@@ -480,7 +547,8 @@ def argvs(draw):
 def test_argv_fuzz_exits_0_or_2_with_one_error_line(argv):
     """Any argv over the vocabulary exits 0, or 2 (argparse's ``SystemExit(2)``
     included) with exactly one ``error:`` line on stderr, and raises nothing
-    else.  Specs keep n <= 40 because no input reader checks a size budget
+    else; an absent source that looks like a path is always reported as not
+    found.  Specs keep n <= 40 because no input reader checks a size budget
     yet (the ROADMAP's size-budget item), so a large drawn n could exhaust
     memory; the counts stay small so each example runs in well under a second."""
     err = io.StringIO()
@@ -498,6 +566,9 @@ def test_argv_fuzz_exits_0_or_2_with_one_error_line(argv):
     assert rc in (0, 2), err.getvalue()
     error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert len(error_lines) == (rc == 2), err.getvalue()
+    if argv[0] != "reduce" and argv[1] in MISSING_PATHS:
+        assert rc == 2 and "not found" in error_lines[0] and argv[1] in error_lines[0], \
+            err.getvalue()
 
 
 class TestEntryPoint:
