@@ -22,7 +22,7 @@ import numpy as np
 
 from steinerkit import StpInstance, WeightedGraph, init_params
 from steinerkit.qnet import forward, grad, q_values
-from steinerkit.rl import reset
+from steinerkit.rl import greedy_vertex, reset
 
 instance = StpInstance(
     graph=WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 5.0), (2, 3, 1.0)]),
@@ -52,8 +52,8 @@ print(cache.mu_p)
 q = q_values(params, inp)
 for v in range(4):
     print(f"  Q(S, {v}) = {q[v]:+.4f}")
-print("\nfrontier:", sorted(state.frontier), "-> greedy action",
-      max(state.frontier, key=lambda v: q[v]))
+print("\nfrontier:", state.frontier, "-> greedy action",
+      greedy_vertex(state.frontier, q))
 
 # Backward check: perturb one weight at a time and compare the slope of
 # the squared-residual loss to the analytic gradient.

@@ -80,22 +80,17 @@ def instance_static(instance: StpInstance) -> InstanceStatic:
 
 @dataclass
 class EpisodeState:
-    """Mutable episode: partial solution, frontier, features, and cost."""
+    """Mutable episode: partial solution, sorted frontier, features, and cost."""
 
     instance: StpInstance
     static: InstanceStatic
-    order: list[int]
     in_tree: np.ndarray
-    frontier: set[int]
+    frontier: tuple[int, ...]
     chosen_edges: list[tuple[int, int, float]]
     cost: float
     active_mask: np.ndarray
     x: np.ndarray  # normalized feature rows, replaced (never mutated) on updates
     done: bool
-
-    @property
-    def frontier_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.frontier))
 
     def net_input(self) -> NetInput:
         return NetInput(
@@ -154,10 +149,10 @@ def reset(instance: StpInstance, rng: np.random.Generator | None = None,
     in_tree[v1] = True
     active = np.ones(len(terms), dtype=bool)
     active[st.t_index[v1]] = False
-    frontier = {u for u, _ in instance.graph.neighbors(v1)}
     return EpisodeState(
-        instance=instance, static=st, order=[v1], in_tree=in_tree,
-        frontier=frontier, chosen_edges=[], cost=0.0, active_mask=active,
+        instance=instance, static=st, in_tree=in_tree,
+        frontier=tuple(u for u, _ in instance.graph.neighbors(v1)),
+        chosen_edges=[], cost=0.0, active_mask=active,
         x=knn_features(st.table, active, k) / st.scale, done=not active.any(),
     )
 
@@ -171,10 +166,13 @@ def step(state: EpisodeState, v: int) -> tuple[EpisodeState, float]:
     if v not in state.frontier:
         raise ValueError(f"vertex {v} is not on the frontier")
 
-    g = state.instance.graph
+    # one walk over v's neighbours: tree ones price the attachment, the rest join the frontier
+    frontier = set(state.frontier) - {v}
     w_min, attach = math.inf, -1
-    for u, w in g.neighbors(v):
-        if state.in_tree[u] and w < w_min:
+    for u, w in state.instance.graph.neighbors(v):
+        if not state.in_tree[u]:
+            frontier.add(u)
+        elif w < w_min:
             w_min, attach = w, u
     if attach < 0:
         raise RuntimeError(f"frontier vertex {v} has no tree neighbor")
@@ -184,15 +182,11 @@ def step(state: EpisodeState, v: int) -> tuple[EpisodeState, float]:
     if is_terminal:
         reward += state.static.bonus_c
 
-    state.order.append(v)
     state.in_tree[v] = True
     a, b = (attach, v) if attach < v else (v, attach)
     state.chosen_edges.append((a, b, w_min))
     state.cost += w_min
-    state.frontier.discard(v)
-    for u, _ in g.neighbors(v):
-        if not state.in_tree[u]:
-            state.frontier.add(u)
+    state.frontier = tuple(sorted(frontier))
 
     if is_terminal:
         state.active_mask[state.static.t_index[v]] = False
@@ -207,18 +201,17 @@ def greedy_vertex(frontier, q) -> int:
     return max(frontier, key=q.__getitem__)
 
 
-def frontier_q_values(params: QNetParams, state: EpisodeState) -> dict[int, float]:
-    """Action-value map restricted to the legal actions."""
+def frontier_q_values(params: QNetParams, state: EpisodeState) -> np.ndarray:
+    """The vertex-indexed Q vector of a state that still has a legal action."""
     if not state.frontier:
         raise ValueError("empty frontier")
-    q = q_values(params, state.net_input())
-    return {v: float(q[v]) for v in state.frontier_sorted}
+    return q_values(params, state.net_input())
 
 
-def select_action(state: EpisodeState, q_map: dict[int, float], epsilon: float,
+def select_action(state: EpisodeState, q, epsilon: float,
                   rng: np.random.Generator | None = None) -> int:
-    """epsilon-greedy over the frontier; the greedy pick is ``greedy_vertex``."""
-    frontier = state.frontier_sorted
+    """epsilon-greedy over the frontier; the greedy pick is ``greedy_vertex`` of ``q``."""
+    frontier = state.frontier
     if not frontier:
         raise ValueError("empty frontier")
     if epsilon > 0:
@@ -226,7 +219,7 @@ def select_action(state: EpisodeState, q_map: dict[int, float], epsilon: float,
             raise ValueError("exploration needs an rng")
         if rng.random() < epsilon:
             return int(frontier[int(rng.integers(len(frontier)))])
-    return greedy_vertex(frontier, q_map)
+    return greedy_vertex(frontier, q)
 
 
 def ddqn_target(transition: Transition, env_params: QNetParams,
@@ -395,14 +388,13 @@ def play_episode(instance: StpInstance, params: QNetParams, epsilon: float,
     # one NetInput per visited state: a step's `after` is the next step's `before`
     before = state.net_input() if learner is not None else None
     while not state.done:
-        q_map = frontier_q_values(params, state)
-        action = select_action(state, q_map, epsilon, rng)
+        action = select_action(state, frontier_q_values(params, state), epsilon, rng)
         _, reward = step(state, action)
         if learner is not None:
             after = state.net_input()
             loss = learner.observe(params, Transition(
                 before=before, action=action, reward=reward,
-                after=after, next_frontier=state.frontier_sorted,
+                after=after, next_frontier=state.frontier,
                 done=state.done))
             before = after
             if loss is not None:

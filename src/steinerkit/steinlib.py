@@ -153,8 +153,15 @@ def parse_steinlib(text: str) -> StpInstance:
 
 
 def parse_steinlib_file(path) -> StpInstance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_steinlib(fh.read())
+    """Parse the ``.stp`` file at ``path``; a parse or decode error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_steinlib(fh.read())
+    except SteinlibParseError as exc:  # keeps its type and line_no
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_steinlib(instance: StpInstance) -> str:

@@ -149,10 +149,10 @@ def test_criterion_4_mdp_invariants():
             state = reset(inst, rng=rng)
             steps = 0
             while not state.done:
-                v = state.frontier_sorted[int(rng.integers(len(state.frontier)))]
+                v = state.frontier[int(rng.integers(len(state.frontier)))]
                 state, _ = step(state, v)
                 steps += 1
-                in_s = set(state.order)
+                in_s = set(np.flatnonzero(state.in_tree).tolist())
                 # frontier recomputed from scratch must agree
                 oracle_frontier = {u for w in in_s
                                    for u, _ in g.neighbors(w)} - in_s
@@ -160,15 +160,16 @@ def test_criterion_4_mdp_invariants():
                 a, b, w = state.chosen_edges[-1]
                 prev = in_s - {v}
                 cheapest = min(wt for u, wt in g.neighbors(v) if u in prev)
-                ok = (state.frontier == oracle_frontier
-                      and len(state.chosen_edges) == len(state.order) - 1
+                ok = (state.frontier == tuple(sorted(oracle_frontier))
+                      and len(state.chosen_edges) == len(in_s) - 1
                       and w == cheapest
                       and state.cost == pytest.approx(
                           sum(e[2] for e in state.chosen_edges)))
                 if not ok or steps > g.vertex_count:
                     failures += 1
                     break
-            if not state.done or not inst.terminals <= set(state.order):
+            tree_vertices = set(np.flatnonzero(state.in_tree).tolist())
+            if not state.done or not inst.terminals <= tree_vertices:
                 failures += 1
             elif len(inst.terminals) > 1:
                 verify_tree(inst, state.chosen_edges)

@@ -1,14 +1,17 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from steinerkit.generators import generate, parse_generator_spec
 from steinerkit.graph import StpInstance, WeightedGraph
 from steinerkit.qnet import init_params, load_checkpoint, save_checkpoint
 from steinerkit.rl import DdqnConfig, train
-from steinerkit.steinlib import parse_steinlib_file, write_steinlib_file
+from steinerkit.steinlib import SteinlibParseError, parse_steinlib_file, write_steinlib_file
 
 # diamond fixture: optimum is 0-1-2-3 at cost 4, classic also finds it
 DIAMOND = StpInstance(
@@ -465,6 +468,32 @@ def test_existing_file_is_read_as_stp_whatever_its_suffix(diamond_file, capsys):
     assert json.loads(capsys.readouterr().out)["cost"] == 4.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "{dir}", "--methods", "classic", "--trials", "4"],
+    ["train", "{dir}", "--rounds", "1"],
+    ["solve", "{file}"],
+], ids=["bench", "train", "solve"])
+@pytest.mark.parametrize("text, message", [
+    (b"one line of text\n", "line 1: missing SECTION Graph"),
+    (b"SECTION Graph\nNodes 2\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
+], ids=["malformed", "not-utf-8"])
+def test_a_bad_stp_file_is_named_in_its_error(argv, text, message, stp_dir,
+                                              tmp_path, monkeypatch, capsys):
+    """Among good files, the one that fails to parse is the one the error names."""
+    write_steinlib_file(DIAMOND, stp_dir / "c-diamond.stp")
+    bad = stp_dir / "z.stp"
+    bad.write_bytes(text)
+    monkeypatch.chdir(tmp_path)
+    rc = main([a.format(dir=stp_dir, file=bad) for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    with pytest.raises(ValueError) as exc:
+        parse_steinlib_file(bad)
+    if message.startswith("line"):
+        assert isinstance(exc.value, SteinlibParseError) and exc.value.line_no == 1
+
+
 @pytest.mark.parametrize("sweep", [[], ["--sweep", "k"]], ids=["plain", "sweep-k"])
 def test_train_parses_a_directory_once_and_validates_on_its_instances(
         sweep, stp_dir, tmp_path, monkeypatch):
@@ -582,10 +611,28 @@ class TestEntryPoint:
             assert sub in proc.stdout
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden.json"
+REPO_CHECKPOINT = (Path(__file__).resolve().parent.parent
+                   / "perfbench" / "checkpoint" / "rr30-seed7.ckpt.json")
+
+
+def _environment() -> dict[str, str]:
+    """What decides a float's last bit here: numpy, its BLAS build and the machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']} ({blas.get('openblas configuration', '')})"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+
+
 @pytest.mark.slow
 def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``train``, then ``bench`` with its checkpoint, write the same bytes
-    with one BLAS thread as with two (two keep it within a 2-core machine)."""
+    """``train``, ``bench`` with its checkpoint, and ``bench`` of the committed
+    checkpoint over ``classic,agent,active`` write the same bytes with one BLAS
+    thread as with two (two keep it within a 2-core machine), and those bytes
+    hash as ``tests/data/golden.json`` records.  The table holds for the
+    environment it names; elsewhere the test fails naming the field that differs."""
     src = str(Path(steinerkit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = [
@@ -593,6 +640,9 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         # 8 terminals, under the exact solver's cap
         ["bench", "rr:n=100,m=0.08,w=1:5", "--methods", "classic,exact,agent",
          "--checkpoint", "run.ckpt.json", "--trials", "3", "--no-timing", "--out", "run"],
+        ["bench", "rr:n=30,w=1:5", "--methods", "classic,agent,active",
+         "--checkpoint", str(REPO_CHECKPOINT), "--trials", "5", "--rounds", "100",
+         "--no-timing", "--out", "active"],
     ]
     outputs = []
     for threads in ("1", "2"):
@@ -605,5 +655,16 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                                   env=env, capture_output=True, text=True, timeout=600)
             assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
-    assert sorted(outputs[0]) == ["run.ckpt.json", "run.csv", "run.curve.csv", "run.json"]
+    assert sorted(outputs[0]) == ["active.csv", "active.json", "run.ckpt.json",
+                                  "run.csv", "run.curve.csv", "run.json"]
     assert outputs[0] == outputs[1]
+
+    golden = json.loads(GOLDEN.read_text())
+    here = _environment()
+    for field, recorded in golden["environment"].items():
+        if here.get(field) != recorded:
+            pytest.fail(f"{GOLDEN.name} was made with {field} {recorded!r}, "
+                        f"this run has {here.get(field)!r}")
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in sorted(outputs[0].items())}
+    assert digests == golden["sha256"], json.dumps(digests, indent=2)

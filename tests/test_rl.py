@@ -57,7 +57,7 @@ def recorded_step(state, v):
     _, reward = step(state, v)
     return Transition(before=before, action=v, reward=reward,
                       after=state.net_input(),
-                      next_frontier=state.frontier_sorted, done=state.done)
+                      next_frontier=state.frontier, done=state.done)
 
 
 def fresh_learner(params, cfg):
@@ -151,15 +151,14 @@ class TestInstanceStatic:
 class TestReset:
     def test_default_start_is_lowest_terminal(self):
         state = reset(REWARD_INSTANCE)
-        assert state.order == [0]
         assert state.in_tree[0] and state.in_tree.sum() == 1
-        assert state.frontier == {1}
+        assert state.frontier == (1,)
         assert not state.done
 
     def test_explicit_start(self):
         state = reset(REWARD_INSTANCE, start=3)
-        assert state.order == [3]
-        assert state.frontier == {1, 2}
+        assert list(np.flatnonzero(state.in_tree)) == [3]
+        assert state.frontier == (1, 2)
 
     def test_start_must_be_terminal(self):
         with pytest.raises(ValueError, match="not a terminal"):
@@ -167,7 +166,8 @@ class TestReset:
 
     def test_random_start_spans_terminals(self):
         rng = np.random.default_rng(7)
-        starts = {reset(REWARD_INSTANCE, rng=rng).order[0] for _ in range(40)}
+        starts = {int(np.flatnonzero(reset(REWARD_INSTANCE, rng=rng).in_tree)[0])
+                  for _ in range(40)}
         assert starts == {0, 3}
 
     def test_single_terminal_is_immediately_done(self):
@@ -212,7 +212,7 @@ class TestStepRewards:
     def test_frontier_update(self):
         state = reset(REWARD_INSTANCE, start=0)
         step(state, 1)
-        assert state.frontier == {2, 3}
+        assert state.frontier == (2, 3)
         assert state.chosen_edges == [(0, 1, 1.0)]
 
     def test_cheapest_attachment_tie_prefers_lower_endpoint(self):
@@ -254,6 +254,8 @@ class TestActionSelection:
     def test_greedy_tie_goes_to_lowest_vertex(self):
         state = reset(REWARD_INSTANCE, start=3)
         assert select_action(state, {1: 0.5, 2: 0.5}, 0.0) == 1
+        # a vertex-indexed vector, as frontier_q_values returns: same rule
+        assert select_action(state, np.array([9.0, 0.5, 0.5, 9.0]), 0.0) == 1
 
     def test_exploration_needs_rng(self):
         state = reset(REWARD_INSTANCE, start=3)
@@ -268,11 +270,14 @@ class TestActionSelection:
             counts[select_action(state, {1: 9.0, 2: 0.0}, 1.0, rng)] += 1
         assert stats.chisquare(list(counts.values())).pvalue > 1e-4
 
-    def test_frontier_q_values_keys(self):
+    def test_frontier_q_values_is_the_q_vector(self):
         params = init_params(2, 2, seed=0)
         state = reset(REWARD_INSTANCE, start=3)
-        q_map = frontier_q_values(params, state)
-        assert set(q_map) == {1, 2}
+        q = frontier_q_values(params, state)
+        assert np.array_equal(q, q_values(params, state.net_input()))
+        state.frontier = ()
+        with pytest.raises(ValueError, match="empty frontier"):
+            frontier_q_values(params, state)
 
 
 class TestDdqnTarget:
@@ -330,7 +335,7 @@ class TestGreedyRule:
     def test_action_and_target_pick_alike(self, monkeypatch, q2, q3, expected):
         state = reset(REWARD_INSTANCE, start=0)
         tr = recorded_step(state, 1)
-        assert state.frontier_sorted == tr.next_frontier == (2, 3)
+        assert state.frontier == tr.next_frontier == (2, 3)
         assert select_action(state, {2: q2, 3: q3}, 0.0) == expected
 
         env, tgt = init_params(2, 2, seed=0), init_params(2, 2, seed=1)
@@ -559,10 +564,11 @@ class TestPlayEpisode:
             state, losses = play_episode(inst, params, 0.3, rng)
             assert losses == []
             assert state.done
-            assert set(inst.terminals) <= {v for v in state.order}
-            assert len(state.chosen_edges) == len(state.order) - 1
-            assert state.in_tree.sum() == len(state.order)
-            assert not state.frontier & set(state.order)
+            tree_vertices = set(np.flatnonzero(state.in_tree).tolist())
+            assert set(inst.terminals) <= tree_vertices
+            assert len(state.chosen_edges) == len(tree_vertices) - 1
+            assert list(state.frontier) == sorted(set(state.frontier))
+            assert not set(state.frontier) & tree_vertices
             tree = verify_tree(inst, state.chosen_edges)
             assert tree.cost == pytest.approx(state.cost)
 
@@ -573,7 +579,7 @@ class TestPlayEpisode:
                           DdqnConfig(p_dim=2, k=2, warmup_batches=101))
         state, losses = play_episode(REWARD_INSTANCE, params, 0.0,
                                      np.random.default_rng(0), learner=learner)
-        assert len(buf) == len(state.order) - 1
+        assert len(buf) == state.in_tree.sum() - 1
         assert losses == []
 
     def test_each_state_is_stored_once(self):
@@ -603,7 +609,7 @@ class TestPlayEpisode:
 
     def test_frontier_vertex_without_tree_neighbor_raises(self):
         state = reset(REWARD_INSTANCE, start=0)
-        state.frontier.add(3)  # corrupt: 3 touches no tree vertex
+        state.frontier += (3,)  # corrupt: 3 touches no tree vertex
         with pytest.raises(RuntimeError, match="no tree neighbor"):
             step(state, 3)
 
@@ -618,8 +624,10 @@ class TestEpisodeProperties:
         buf = ReplayBuffer(100, np.random.default_rng(seed))
         state, _ = play_episode(inst, params, epsilon, np.random.default_rng(seed),
                                 learner=record_only_learner(buf, params))
-        assert len(buf) == len(state.order) - 1
-        frontier = reset(inst, start=state.order[0]).frontier_sorted
+        assert len(buf) == state.in_tree.sum() - 1
+        # the start is the one tree vertex before the first step
+        first = buf._data[0].before.s_bits if buf._data else state.in_tree
+        frontier = reset(inst, start=int(np.flatnonzero(first)[0])).frontier
         assert not outside & set(frontier)
         for tr in buf._data:
             assert tr.action in frontier
