@@ -3,7 +3,8 @@ Anatomy of the Q-network: encode, process, decode
 =================================================
 
 The action-value network runs in three stages, all plain numpy.
-``forward`` runs the first two and caches each one's output;
+``forward`` runs the first two over a list of inputs stacked row-wise
+(here one) and caches each one's output;
 ``q_values`` adds the third:
 
   1. encode  - each vertex v gets an embedding from [in-tree bit,
@@ -41,7 +42,7 @@ print("s_bits:", inp.s_bits, " t_bits:", inp.t_bits)
 params = init_params(p_dim=4, k=2, seed=0)
 
 # Stage by stage.  The embedding matrix has one row per vertex.
-cache = forward(params, inp)
+cache = forward(params, [inp])
 print("\nencoded mu shape:", cache.mu.shape)
 print(cache.mu)
 print("processed mu' shape:", cache.mu_p.shape)

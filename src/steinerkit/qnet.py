@@ -1,17 +1,26 @@
 """Graph Q-network: one forward pass, a decoder, explicit gradients.
 
 The network scores "add vertex v to the partial tree" actions.
-``forward`` encodes and processes: encoding mixes each vertex's
-tree-membership and terminal bits with its nearest-terminal distance
-features, and processing runs one neighborhood-difference aggregation
-through a two-layer perceptron.  Its ``ForwardCache`` keeps each stage's
-output.  ``q_values`` and ``grad`` then decode: a pooled graph summary and
-the candidate vertex embedding combine into a scalar score.
+``forward`` encodes and processes a sequence of inputs stacked row-wise:
+encoding mixes each vertex's tree-membership and terminal bits with its
+nearest-terminal distance features, and processing runs one
+neighborhood-difference aggregation through a two-layer perceptron.  Its
+``ForwardCache`` keeps each stage's output.  ``q_values`` and ``grad``
+(one input) and ``stacked_q_values`` and ``stacked_grad`` (a replay
+batch) then decode: a pooled graph summary and the candidate vertex
+embedding combine into a scalar score.
 
-Everything is plain numpy with a hand-written backward pass.  Batches are
-tiny (16) and graphs small (tens to hundreds of vertices), so dense
-matrices beat any framework overhead here, and exact reproducibility is
-trivial to guarantee.
+Everything is plain numpy with a hand-written backward pass.  Graphs are
+small (tens to hundreds of vertices), so one input's products are too
+small to hide numpy's per-call overhead; a replay batch of 16 therefore
+runs as one stack of rows, in buffers its learner reuses every step.
+Only products whose rows do not depend on the row count run stacked:
+both encoder products, the two processor layers, the candidate mix and
+the back-products through them.  The adjacency products, pooled sums,
+pooled mix, readout and one-row decode (GEMVs whose rows do depend on
+it) and every weight gradient (a sum over one input's rows) run per
+input, so each input gets the bytes of its own ``q_values`` and
+``grad``, and results stay exactly reproducible.
 """
 
 from __future__ import annotations
@@ -86,117 +95,228 @@ class NetInput:
     degrees: np.ndarray   # (n,) row sums of adjacency
 
 
-def _relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0)
+def _buffer(workspace: dict | None, name: str, rows: int, cols: int) -> np.ndarray:
+    """The leading ``rows`` of the workspace's ``name`` buffer, or a fresh
+    array without a workspace.  A buffer is replaced only when a stack
+    outgrows it, so it never holds more rows than the largest it served."""
+    if workspace is None:
+        return np.empty((rows, cols))
+    buf = workspace.get(name)
+    if buf is None or len(buf) < rows:
+        buf = workspace[name] = np.empty((rows, cols))
+    return buf[:rows]
 
 
-def _state_bits(s_bits, t_bits) -> np.ndarray:
-    """(n, 2) encoder input columns [in-tree, is-terminal]."""
-    st = np.empty((len(s_bits), 2))
-    st[:, 0] = s_bits
-    st[:, 1] = t_bits
-    return st
+def _stacked_matmul(a: np.ndarray, w: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+    """``a @ w`` into ``out`` as one product over every block's rows.
 
-
-def _decode(params: QNetParams, pooled, mu_c):
-    """Decoder pre-activation, activation and value for candidate rows.
-
-    ``mu_c`` is one processed embedding (P,) or a stack of them (m, P).
-    Arrays here are tiny, so filling ``qpre`` in place beats the call
-    overhead of broadcast_to/concatenate; the values are the same.
+    A row of a product comes out the same whatever the row count, except
+    where a block's own product would take another kernel: numpy hands a
+    one-row or one-column product to GEMV, and OpenBLAS's small-matrix
+    kernel for ``A @ B.T`` (M*N <= 1200, K >= 32) sums in another order.
+    Such a block is redone alone, so every block's rows hold the bytes of
+    its own product.
     """
-    g4 = params.theta4 @ pooled
-    v5 = mu_c @ params.theta5.T
-    p = g4.shape[0]
-    qpre = np.empty(v5.shape[:-1] + (2 * p,))
-    qpre[..., :p] = g4
-    qpre[..., p:] = v5
-    qr = _relu(qpre)
+    np.matmul(a, w, out=out)
+    if len(blocks) > 1:
+        k, n = w.shape
+        for s, e in blocks:
+            if e - s == 1 or n == 1 or (k >= 32 and (e - s) * n <= 1200):
+                out[s:e] = a[s:e] @ w
+    return out
+
+
+def _decode(params: QNetParams, pooled, mu_v):
+    """Decoder pre-activation, activation and value of one candidate row
+    ``mu_v`` (P,).  Arrays here are tiny, so filling ``qpre`` in place
+    beats the call overhead of concatenate; the values are the same."""
+    p = params.p_dim
+    qpre = np.empty(2 * p)
+    qpre[:p] = params.theta4 @ pooled
+    qpre[p:] = mu_v @ params.theta5.T
+    qr = np.maximum(qpre, 0.0)
     return qpre, qr, qr @ params.theta3
 
 
 @dataclass
 class ForwardCache:
-    """Post-activation arrays of one forward pass.
+    """Post-activation arrays of one forward pass over stacked inputs.
 
-    relu(a) > 0 exactly where a > 0, so backward masks on these directly.
+    Input i owns rows ``blocks[i]`` of every array and ``pooled[i]``;
+    ``st``, ``x`` and ``deg`` are the stacked encoder inputs.  relu(a) > 0
+    exactly where a > 0, so backward masks on these directly.
     """
 
     mu: np.ndarray
     z: np.ndarray
     h: np.ndarray
     mu_p: np.ndarray
-    pooled: np.ndarray
+    pooled: list[np.ndarray]
+    blocks: list[tuple[int, int]]
+    st: np.ndarray
+    x: np.ndarray
+    deg: np.ndarray
 
 
-def forward(params: QNetParams, inp: NetInput) -> ForwardCache:
-    """Encoder, then one processor round; the cache keeps each activation.
+def forward(params: QNetParams, inputs, workspace: dict | None = None) -> ForwardCache:
+    """Encoder, then one processor round, over ``inputs`` stacked row-wise;
+    one input is the one-block case.  The cache keeps each activation, in
+    ``workspace``'s buffers when one is given.
 
     ``mu`` embeds each vertex from its state bits and distance features;
     ``mu_p`` is rectified [mu, neighborhood difference] through the MLP.
+    Only products whose rows do not depend on the row count run stacked;
+    the adjacency products and pooled sums run per input.
     """
-    mu = _relu(_state_bits(inp.s_bits, inp.t_bits) @ params.theta1.T
-               + np.asarray(inp.x, dtype=float) @ params.theta2.T)
-    agg = inp.degrees[:, None] * mu - inp.adjacency @ mu
-    z = _relu(np.concatenate([mu, agg], axis=1))
-    h = _relu(z @ params.w1.T + params.b1)
-    mu_p = _relu(h @ params.w2.T + params.b2)
-    return ForwardCache(mu=mu, z=z, h=h, mu_p=mu_p, pooled=mu_p.sum(axis=0))
+    p, k = params.p_dim, params.k
+    blocks, rows = [], 0
+    for inp in inputs:
+        blocks.append((rows, rows + len(inp.s_bits)))
+        rows = blocks[-1][1]
+    st = _buffer(workspace, "st", rows, 2)
+    for inp, (a, b) in zip(inputs, blocks):
+        st[a:b, 0] = inp.s_bits
+        st[a:b, 1] = inp.t_bits
+    if len(inputs) == 1:  # one input's own arrays are the stack
+        x, deg = np.asarray(inputs[0].x, dtype=float), inputs[0].degrees[:, None]
+    else:
+        x, deg = _buffer(workspace, "x", rows, k), _buffer(workspace, "deg", rows, 1)
+        for inp, (a, b) in zip(inputs, blocks):
+            x[a:b] = inp.x
+            deg[a:b, 0] = inp.degrees
+
+    mu = _stacked_matmul(st, params.theta1.T, blocks, _buffer(workspace, "mu", rows, p))
+    mu += _stacked_matmul(x, params.theta2.T, blocks, _buffer(workspace, "h", rows, p))
+    np.maximum(mu, 0.0, out=mu)
+    agg = np.multiply(deg, mu, out=_buffer(workspace, "h", rows, p))
+    for inp, (a, b) in zip(inputs, blocks):
+        agg[a:b] -= inp.adjacency @ mu[a:b]
+    z = _buffer(workspace, "z", rows, 2 * p)
+    z[:, :p] = mu
+    z[:, p:] = agg
+    np.maximum(z, 0.0, out=z)
+    h = _stacked_matmul(z, params.w1.T, blocks, _buffer(workspace, "h", rows, p))
+    h += params.b1
+    np.maximum(h, 0.0, out=h)
+    mu_p = _stacked_matmul(h, params.w2.T, blocks, _buffer(workspace, "mu_p", rows, p))
+    mu_p += params.b2
+    np.maximum(mu_p, 0.0, out=mu_p)
+    return ForwardCache(mu=mu, z=z, h=h, mu_p=mu_p,
+                        pooled=[mu_p[a:b].sum(axis=0) for a, b in blocks],
+                        blocks=blocks, st=st, x=x, deg=deg)
+
+
+def stacked_q_values(params: QNetParams, inputs, workspace: dict | None = None) -> list:
+    """``q_values`` of each input, from one stacked forward.  The candidate
+    mix runs stacked; the pooled mix and the readout, a GEMV whose rows
+    depend on the row count, run per input.  Each vector owns its data."""
+    c = forward(params, inputs, workspace)
+    p, rows = params.p_dim, len(c.mu_p)
+    # z and h are spent once mu_p exists, so their buffers take the decoder
+    qr = _buffer(workspace, "z", rows, 2 * p)
+    qr[:, p:] = _stacked_matmul(c.mu_p, params.theta5.T, c.blocks,
+                                 _buffer(workspace, "h", rows, p))
+    for (a, b), pooled in zip(c.blocks, c.pooled):
+        qr[a:b, :p] = params.theta4 @ pooled
+    np.maximum(qr, 0.0, out=qr)
+    return [qr[a:b] @ params.theta3 for a, b in c.blocks]
 
 
 def q_values(params: QNetParams, inp: NetInput) -> np.ndarray:
     """Action values for every vertex at once (callers mask to the frontier)."""
-    cache = forward(params, inp)
-    return _decode(params, cache.pooled, cache.mu_p)[2]
+    return stacked_q_values(params, (inp,))[0]
 
 
-def grad(params: QNetParams, inp: NetInput, v: int, target: float):
-    """Squared-error loss (target - Q)^2 and its gradient for one sample.
+def _accumulate(acc: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
+    if name in acc:
+        acc[name] += g
+    else:
+        acc[name] = g
+
+
+def _backward(params: QNetParams, c: ForwardCache, inputs, actions, targets,
+              acc: dict[str, np.ndarray], workspace: dict | None = None) -> float:
+    """Sum of the squared-error losses (target - Q)^2 of the stacked samples;
+    each sample's gradient is added into ``acc`` (a tensor absent from it is
+    set to the first sample's), tensor by tensor in sample order.
 
     Backward mirrors ``forward`` exactly; relu passes gradient only where
     the pre-activation was strictly positive.  The pooled decoder summary
     sends its gradient to every vertex row, the candidate arm only to v.
+    The back-products through w2 and w1 run stacked; the one-row decode,
+    the adjacency products and every weight gradient, a sum over one
+    sample's rows, run per sample.  The cache is spent: its rows are
+    overwritten by their gradients.
     """
-    c = forward(params, inp)
     if not np.all(np.isfinite(c.mu)):
         raise FloatingPointError("non-finite values after the encoder")
     if not np.all(np.isfinite(c.mu_p)):
         raise FloatingPointError("non-finite values after the processor")
-    p = params.p_dim
-    qpre, qr, q = _decode(params, c.pooled, c.mu_p[v])
-    q = float(q)
-    if not np.isfinite(q) or not np.isfinite(target):
-        raise FloatingPointError("non-finite value in the decoder output")
-    diff = q - target
-    loss = diff * diff
+    p, rows = params.p_dim, len(c.mu_p)
+    total = 0.0
+    dmu_p = _buffer(workspace, "d1", rows, p)
+    for (a, b), pooled, v, target in zip(c.blocks, c.pooled, actions, targets):
+        if not 0 <= v < b - a:
+            raise IndexError(f"action {v} is not a vertex of a {b - a}-vertex input")
+        qpre, qr, q = _decode(params, pooled, c.mu_p[a + v])
+        q = float(q)
+        if not np.isfinite(q) or not np.isfinite(target):
+            raise FloatingPointError("non-finite value in the decoder output")
+        diff = q - target
+        total += diff * diff
+        dq = 2.0 * diff
+        _accumulate(acc, "theta3", dq * qr)
+        dqpre = dq * params.theta3 * (qpre > 0)
+        d_g4, d_v5 = dqpre[:p], dqpre[p:]
+        _accumulate(acc, "theta4", d_g4[:, None] * pooled)
+        _accumulate(acc, "theta5", d_v5[:, None] * c.mu_p[a + v])
+        dmu_p[a:b] = params.theta4.T @ d_g4
+        dmu_p[a + v] += params.theta5.T @ d_v5
 
-    dq = 2.0 * diff
-    g = {}
-    g["theta3"] = dq * qr
-    dqpre = dq * params.theta3 * (qpre > 0)
-    d_g4, d_v5 = dqpre[:p], dqpre[p:]
-    g["theta4"] = d_g4[:, None] * c.pooled
-    g["theta5"] = d_v5[:, None] * c.mu_p[v]
-
-    dmu_p = np.empty_like(c.mu_p)
-    dmu_p[:] = params.theta4.T @ d_g4
-    dmu_p[v] += params.theta5.T @ d_v5
-
-    dpre2 = dmu_p * (c.mu_p > 0)
-    g["w2"] = dpre2.T @ c.h
-    g["b2"] = dpre2.sum(axis=0)
-    dh = dpre2 @ params.w2
-    dpre1 = dh * (c.h > 0)
-    g["w1"] = dpre1.T @ c.z
-    g["b1"] = dpre1.sum(axis=0)
-    dz = dpre1 @ params.w1
-    dzpre = dz * (c.z > 0)
+    dpre2 = np.multiply(dmu_p, c.mu_p > 0, out=dmu_p)
+    for a, b in c.blocks:
+        _accumulate(acc, "w2", dpre2[a:b].T @ c.h[a:b])
+        _accumulate(acc, "b2", dpre2[a:b].sum(axis=0))
+    # once an activation is spent but for its mask, its buffer takes the
+    # gradient of its pre-activation: h's takes dpre1, z's dzpre, dpre2's dmu
+    h_on = c.h > 0
+    dpre1 = _stacked_matmul(dpre2, params.w2, c.blocks, _buffer(workspace, "h", rows, p))
+    np.multiply(dpre1, h_on, out=dpre1)
+    for a, b in c.blocks:
+        _accumulate(acc, "w1", dpre1[a:b].T @ c.z[a:b])
+        _accumulate(acc, "b1", dpre1[a:b].sum(axis=0))
+    z_on = c.z > 0
+    dzpre = _stacked_matmul(dpre1, params.w1, c.blocks, _buffer(workspace, "z", rows, 2 * p))
+    np.multiply(dzpre, z_on, out=dzpre)
     dz_mu, dz_agg = dzpre[:, :p], dzpre[:, p:]
-    dmu = dz_mu + inp.degrees[:, None] * dz_agg - inp.adjacency @ dz_agg
-    dpre0 = dmu * (c.mu > 0)
-    g["theta1"] = dpre0.T @ _state_bits(inp.s_bits, inp.t_bits)
-    g["theta2"] = dpre0.T @ inp.x
+    dmu = np.multiply(c.deg, dz_agg, out=_buffer(workspace, "d1", rows, p))
+    dmu += dz_mu
+    for inp, (a, b) in zip(inputs, c.blocks):
+        dmu[a:b] -= inp.adjacency @ dz_agg[a:b]
+    dpre0 = np.multiply(dmu, c.mu > 0, out=dmu)
+    for a, b in c.blocks:
+        _accumulate(acc, "theta1", dpre0[a:b].T @ c.st[a:b])
+        _accumulate(acc, "theta2", dpre0[a:b].T @ c.x[a:b])
+    return total
+
+
+def grad(params: QNetParams, inp: NetInput, v: int, target: float):
+    """Squared-error loss (target - Q)^2 and its gradient for one sample."""
+    g: dict[str, np.ndarray] = {}
+    loss = _backward(params, forward(params, (inp,)), (inp,), (v,), (target,), g)
     return loss, g
+
+
+def stacked_grad(params: QNetParams, inputs, actions, targets,
+                 workspace: dict | None = None):
+    """Summed loss and gradient of the samples ``(inputs[i], actions[i],
+    targets[i])``, from one stacked forward and backward.  Each tensor
+    starts from zeros and adds the samples in order, so the bytes equal
+    ``zero_like`` plus ``grad`` of each sample added in that order."""
+    acc = zero_like(params)
+    loss = _backward(params, forward(params, inputs, workspace), inputs, actions,
+                     targets, acc, workspace)
+    return loss, acc
 
 
 def zero_like(params: QNetParams) -> dict[str, np.ndarray]:

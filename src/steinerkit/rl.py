@@ -7,7 +7,8 @@ distance mass, plus a bonus for reaching a terminal.  Training is double
 deep Q-learning: actions picked by the live network, valued by a frozen
 target copy, from uniformly sampled replay.  A replayed transition stores
 the network inputs it was played from and led to, so learning never looks
-the instance up again.  Every episode is played by ``play_episode``;
+the instance up again; a batch of them is priced and differentiated as
+one stack of rows.  Every episode is played by ``play_episode``;
 ``train`` and ``active_search`` learn through one loop around it.
 """
 
@@ -25,12 +26,13 @@ from .graph import StpInstance
 from .qnet import (
     NetInput,
     QNetParams,
-    add_grads,
-    grad,
+    add_grads,  # noqa: F401  (unused; perfbench's tracer swaps this name)
+    grad,  # noqa: F401  (unused; perfbench's tracer swaps this name)
     init_params,
     q_values,
     sgd_step,
-    zero_like,
+    stacked_grad,
+    stacked_q_values,
 )
 from .solvers import SteinerTree, cost_ratio, kmb, prune, verify_tree
 
@@ -222,25 +224,15 @@ def select_action(state: EpisodeState, q, epsilon: float,
     return greedy_vertex(frontier, q)
 
 
-def ddqn_target(transition: Transition, env_params: QNetParams,
-                target_params: QNetParams, gamma: float,
-                target_q: dict | None = None) -> float:
-    """Double estimator: the frozen net prices the live net's ``greedy_vertex`` successor.
-
-    ``target_q`` memoises the frozen net's values of ``transition.after``
-    by transition; it is valid only while ``target_params`` stays unchanged.
-    """
+def ddqn_target(transition: Transition, q_env, q_tgt, gamma: float) -> float:
+    """Double estimator: ``q_tgt``, the frozen net's values of
+    ``transition.after``, read at the ``greedy_vertex`` of ``q_env``, the
+    live net's values of it.  A finished transition needs neither."""
     if transition.done:
         return transition.reward
     if not transition.next_frontier:
         raise ValueError("non-terminal transition with empty next frontier")
-    v_star = greedy_vertex(transition.next_frontier, q_values(env_params, transition.after))
-    if target_q is not None and transition in target_q:
-        q_tgt = target_q[transition]
-    else:
-        q_tgt = q_values(target_params, transition.after)
-        if target_q is not None:
-            target_q[transition] = q_tgt
+    v_star = greedy_vertex(transition.next_frontier, q_env)
     return transition.reward + gamma * float(q_tgt[v_star])
 
 
@@ -324,17 +316,24 @@ def epsilon_at(config: DdqnConfig, round_idx: int) -> float:
 
 def train_step(buffer: ReplayBuffer, env_params: QNetParams,
                target_params: QNetParams, config: DdqnConfig,
-               target_q: dict | None = None) -> float:
+               target_q: dict | None = None, workspace: dict | None = None) -> float:
     """One SGD update from a uniform replay batch; returns the mean loss.
-    ``target_q`` is ``ddqn_target``'s memo of ``target_params``' values."""
+
+    The batch is priced in two stacked forwards, the live net over every
+    unfinished successor and the frozen net over those ``target_q`` (its
+    memo of ``target_params``' values) lacks, then differentiated in one
+    stacked backward, in ``workspace``'s buffers when one is given.
+    """
     batch = buffer.sample(config.batch)
-    acc = zero_like(env_params)
-    total_loss = 0.0
-    for tr in batch:
-        y = ddqn_target(tr, env_params, target_params, config.gamma, target_q)
-        loss, g = grad(env_params, tr.before, tr.action, y)
-        total_loss += loss
-        add_grads(acc, g)
+    live = [tr for tr in batch if not tr.done]
+    q_env = dict(zip(live, stacked_q_values(env_params, [tr.after for tr in live], workspace)))
+    memo = {} if target_q is None else target_q
+    misses = [tr for tr in live if tr not in memo]
+    memo.update(zip(misses, stacked_q_values(target_params, [tr.after for tr in misses],
+                                             workspace)))
+    targets = [ddqn_target(tr, q_env.get(tr), memo.get(tr), config.gamma) for tr in batch]
+    total_loss, acc = stacked_grad(env_params, [tr.before for tr in batch],
+                                   [tr.action for tr in batch], targets, workspace)
     for name in acc:
         acc[name] /= config.batch
         if not np.all(np.isfinite(acc[name])):
@@ -354,6 +353,9 @@ class Learner:
     then prices it once.  It is emptied at every re-sync and holds at most
     ``target_sync x batch`` vectors of n floats (finished transitions add
     none), so it also keeps at most that many evicted transitions alive.
+
+    ``workspace`` holds the stacked rows of every SGD step; each buffer is
+    reused from step to step and grows only when a stack outgrows it.
     """
 
     buffer: ReplayBuffer
@@ -361,6 +363,7 @@ class Learner:
     config: DdqnConfig
     steps: int = 0
     target_q: dict = field(default_factory=dict, repr=False)
+    workspace: dict = field(default_factory=dict, repr=False)
 
     def observe(self, params: QNetParams, transition: Transition) -> float | None:
         """Record a transition; once replay is warm, take one SGD step on
@@ -369,7 +372,8 @@ class Learner:
         cfg = self.config
         if len(self.buffer) < cfg.warm_replay:
             return None
-        loss = train_step(self.buffer, params, self.target, cfg, self.target_q)
+        loss = train_step(self.buffer, params, self.target, cfg, self.target_q,
+                          self.workspace)
         self.steps += 1
         if self.steps % cfg.target_sync == 0:
             self.target = params.copy()

@@ -2,8 +2,9 @@
 
 Nothing here imports solver internals: the Steiner oracle enumerates
 vertex subsets, the Dreyfus-Wagner reference walks submasks one at a time,
-the network oracle is plain-Python scalar arithmetic, and gradients come
-from central finite differences.  Deliberately slow and simple.
+the network oracle is plain-Python scalar arithmetic, gradients come
+from central finite differences, and the replay step's reference prices
+and differentiates one transition at a time.  Deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from itertools import combinations
 import numpy as np
 
 from steinerkit.graph import StpInstance, reconstruct_path, shortest_paths_with_parents
-from steinerkit.qnet import NetInput, QNetParams, forward
+from steinerkit.qnet import (
+    NetInput,
+    QNetParams,
+    add_grads,
+    forward,
+    grad,
+    q_values,
+    sgd_step,
+    zero_like,
+)
+from steinerkit.rl import ddqn_target
 from steinerkit.solvers import SteinerTree, prune, verify_tree
 
 
@@ -208,8 +219,8 @@ def scalar_q_value(params: QNetParams, inp: NetInput, v: int) -> float:
 
 
 def _loss(params: QNetParams, inp: NetInput, v: int, target: float) -> float:
-    c = forward(params, inp)
-    g4 = params.theta4 @ c.pooled
+    c = forward(params, [inp])
+    g4 = params.theta4 @ c.pooled[0]
     v5 = params.theta5 @ c.mu_p[v]
     qr = np.maximum(np.concatenate([g4, v5]), 0.0)
     q = float(params.theta3 @ qr)
@@ -309,3 +320,34 @@ def brute_force_x3c(n_elements: int, triples):
         if ok and covered == set(range(n_elements)):
             return list(cand)
     return None
+
+
+def per_sample_train_step(buffer, env_params: QNetParams, target_params: QNetParams,
+                          config, target_q: dict | None = None) -> float:
+    """``rl.train_step`` one transition at a time: each successor priced by
+    its own ``q_values`` calls (the frozen net's kept in ``target_q`` until
+    the caller re-syncs), each sample's ``grad`` added in batch order onto
+    zeros.  The stacked step must leave the same bytes."""
+    batch = buffer.sample(config.batch)
+    acc = zero_like(env_params)
+    total_loss = 0.0
+    for tr in batch:
+        q_env = q_tgt = None
+        if not tr.done:
+            q_env = q_values(env_params, tr.after)
+            if target_q is not None and tr in target_q:
+                q_tgt = target_q[tr]
+            else:
+                q_tgt = q_values(target_params, tr.after)
+                if target_q is not None:
+                    target_q[tr] = q_tgt
+        y = ddqn_target(tr, q_env, q_tgt, config.gamma)
+        loss, g = grad(env_params, tr.before, tr.action, y)
+        total_loss += loss
+        add_grads(acc, g)
+    for name in acc:
+        acc[name] /= config.batch
+        if not np.all(np.isfinite(acc[name])):
+            raise FloatingPointError(f"non-finite gradient in {name}")
+    sgd_step(env_params, acc, config.lr)
+    return total_loss / config.batch

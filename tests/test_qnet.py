@@ -15,6 +15,7 @@ from oracles import (
 from steinerkit.qnet import (
     NetInput,
     QNetParams,
+    add_grads,
     forward,
     grad,
     init_params,
@@ -22,6 +23,8 @@ from steinerkit.qnet import (
     q_values,
     save_checkpoint,
     sgd_step,
+    stacked_grad,
+    stacked_q_values,
     zero_like,
 )
 
@@ -115,18 +118,18 @@ def edge_input() -> NetInput:
 class TestForwardFixtures:
     def test_encoder_hand_value(self):
         # relu(1*1 + 1*0 + 2*0.5) = 2
-        mu = forward(hand_params_p1(), single_vertex_input(0.5, 1.0, 0.0)).mu
+        mu = forward(hand_params_p1(), [single_vertex_input(0.5, 1.0, 0.0)]).mu
         assert mu.shape == (1, 1)
         assert mu[0, 0] == 2.0
 
     def test_encoder_negative_preactivation_clamps(self):
-        mu = forward(hand_params_p1(), single_vertex_input(-3.0, 0.0, 0.0)).mu
+        mu = forward(hand_params_p1(), [single_vertex_input(-3.0, 0.0, 0.0)]).mu
         assert mu[0, 0] == 0.0
 
     def test_processor_hand_value(self):
         # two connected vertices with mu = [2, 5]:
         # diffs are -3 and +3; z = relu([mu, diff]); through both layers
-        cache = forward(hand_params_p1(), edge_input())
+        cache = forward(hand_params_p1(), [edge_input()])
         assert cache.mu[:, 0].tolist() == [2.0, 5.0]
         assert cache.mu_p[0, 0] == pytest.approx(3.5)
         assert cache.mu_p[1, 0] == pytest.approx(12.5)
@@ -234,6 +237,70 @@ class TestGrad:
         inp.s_bits[:] = 1.0  # make the encoder actually hit the inf weight
         with pytest.raises(FloatingPointError, match="encoder"):
             grad(params, inp, 0, 0.0)
+
+
+@st.composite
+def stacked_batches(draw):
+    """Parameters and 1-17 inputs whose sizes mix 1, 2 and up to 60
+    vertices, sometimes with one input of at least 100, plus an action and
+    a target per input; the arrays come from a drawn seed."""
+    p = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]))
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.sampled_from([1, 2]) | st.integers(1, 60),
+                          min_size=1, max_size=17))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(100, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = []
+    for n in sizes:
+        adjacency = np.triu((rng.random((n, n)) < 0.2).astype(float), 1)
+        adjacency += adjacency.T
+        inputs.append(NetInput(x=rng.uniform(0, 1, size=(n, k)),
+                               s_bits=(rng.random(n) < 0.4).astype(float),
+                               t_bits=(rng.random(n) < 0.4).astype(float),
+                               adjacency=adjacency, degrees=adjacency.sum(axis=1)))
+    params = init_params(p, k, seed=int(rng.integers(2**32)))
+    actions = [int(rng.integers(n)) for n in sizes]
+    targets = [float(rng.normal()) for _ in sizes]
+    return params, inputs, actions, targets
+
+
+class TestStacked:
+    """A stack of inputs priced and differentiated at once gives each input
+    the bytes of its own ``q_values`` and ``grad``."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_batches())
+    def test_stacked_bytes_equal_the_per_input_bytes(self, batch):
+        params, inputs, actions, targets = batch
+        workspace = {}
+        # a first, reversed stack leaves other rows in the reused buffers
+        stacked_grad(params, inputs[::-1], actions[::-1], targets[::-1], workspace)
+        vectors = stacked_q_values(params, inputs, workspace)
+        assert len(vectors) == len(inputs)
+        for vec, inp in zip(vectors, inputs):
+            assert vec.tobytes() == q_values(params, inp).tobytes()
+            assert not any(np.shares_memory(vec, buf) for buf in workspace.values())
+
+        loss, acc = stacked_grad(params, inputs, actions, targets, workspace)
+        ref_loss, ref = 0.0, zero_like(params)
+        for inp, v, y in zip(inputs, actions, targets):
+            sample_loss, g = grad(params, inp, v, y)
+            ref_loss += sample_loss
+            add_grads(ref, g)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert acc.keys() == ref.keys()
+        for name, arr in ref.items():
+            assert acc[name].tobytes() == arr.tobytes(), name
+
+    def test_action_outside_its_input_is_an_index_error(self):
+        rng = np.random.default_rng(3)
+        params = init_params(2, 2, seed=0)
+        inputs = [make_input(rng), make_input(rng)]
+        with pytest.raises(IndexError, match="not a vertex"):
+            stacked_grad(params, inputs, [0, len(inputs[1].s_bits)], [0.0, 0.0])
+        with pytest.raises(IndexError, match="not a vertex"):
+            grad(params, inputs[0], -1, 0.0)
 
 
 class TestSgd:

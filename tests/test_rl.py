@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import per_sample_train_step
 from scipy import stats
 
 import steinerkit.graph as graph_module
@@ -296,20 +298,19 @@ class TestDdqnTarget:
 
     def test_done_transition_returns_reward(self):
         tr = self.make_transition(done=True)
-        params = init_params(2, 2, seed=0)
-        assert ddqn_target(tr, params, params, gamma=0.9) == tr.reward
+        assert ddqn_target(tr, None, None, gamma=0.9) == tr.reward
 
     def test_gamma_zero_returns_reward(self):
         tr = self.make_transition(done=False)
-        params = init_params(2, 2, seed=0)
-        assert ddqn_target(tr, params, params, gamma=0.0) == pytest.approx(tr.reward)
+        q = q_values(init_params(2, 2, seed=0), tr.after)
+        assert ddqn_target(tr, q, q, gamma=0.0) == pytest.approx(tr.reward)
 
     def test_identical_nets_reduce_to_max_target(self):
         tr = self.make_transition(done=False)
         params = init_params(3, 2, seed=1)
         q = q_values(params, tr.after)
         expected = tr.reward + 0.5 * max(q[v] for v in tr.next_frontier)
-        assert ddqn_target(tr, params, params, gamma=0.5) == pytest.approx(expected)
+        assert ddqn_target(tr, q, q, gamma=0.5) == pytest.approx(expected)
 
     def test_double_estimator_uses_env_argmax(self):
         tr = self.make_transition(done=False)
@@ -318,7 +319,8 @@ class TestDdqnTarget:
         frontier = np.array(tr.next_frontier)
         v_star = frontier[np.argmax(q_values(env, tr.after)[frontier])]
         expected = tr.reward + 0.5 * q_values(tgt, tr.after)[v_star]
-        assert ddqn_target(tr, env, tgt, gamma=0.5) == pytest.approx(expected)
+        assert ddqn_target(tr, q_values(env, tr.after), q_values(tgt, tr.after),
+                           gamma=0.5) == pytest.approx(expected)
 
 
 class TestGreedyRule:
@@ -332,18 +334,15 @@ class TestGreedyRule:
         (math.nan, 0.9, 2),
         (0.1, math.nan, 2),
     ])
-    def test_action_and_target_pick_alike(self, monkeypatch, q2, q3, expected):
+    def test_action_and_target_pick_alike(self, q2, q3, expected):
         state = reset(REWARD_INSTANCE, start=0)
         tr = recorded_step(state, 1)
         assert state.frontier == tr.next_frontier == (2, 3)
         assert select_action(state, {2: q2, 3: q3}, 0.0) == expected
 
-        env, tgt = init_params(2, 2, seed=0), init_params(2, 2, seed=1)
         q_env = np.array([0.0, 0.0, q2, q3])
         q_tgt = np.array([0.0, 0.0, 20.0, 30.0])  # the pick is readable off the target
-        monkeypatch.setattr(rl_module, "q_values",
-                            lambda params, _: q_env if params is env else q_tgt)
-        assert ddqn_target(tr, env, tgt, gamma=1.0) == tr.reward + 10.0 * expected
+        assert ddqn_target(tr, q_env, q_tgt, gamma=1.0) == tr.reward + 10.0 * expected
 
 
 class TestReplayBuffer:
@@ -504,30 +503,61 @@ class TestTargetMemo:
         return losses
 
     def test_memo_learns_the_bytes_of_the_memo_free_reference(self, monkeypatch):
-        calls = []
-        real_q_values = rl_module.q_values
-        monkeypatch.setattr(rl_module, "q_values",
-                            lambda *args: calls.append(1) or real_q_values(*args))
+        live, priced_rows = [], []
+        real_stacked_q_values = rl_module.stacked_q_values
+
+        def counting(params, inputs, workspace=None):
+            if params is not live[-1]:  # the frozen target
+                priced_rows.append(sum(len(inp.s_bits) for inp in inputs))
+            return real_stacked_q_values(params, inputs, workspace)
+
+        monkeypatch.setattr(rl_module, "stacked_q_values", counting)
 
         def run():
-            calls.clear()
-            params = init_params(2, 2, seed=0)
-            learner = fresh_learner(params, self.CONFIG)
-            losses = self.learn(learner, params)
-            return params, losses, learner.steps, len(calls)
+            priced_rows.clear()
+            live.append(init_params(2, 2, seed=0))
+            learner = fresh_learner(live[-1], self.CONFIG)
+            losses = self.learn(learner, live[-1])
+            return live[-1], losses, learner.steps, sum(priced_rows)
 
-        params, losses, steps, memo_calls = run()
+        params, losses, steps, memo_rows = run()
         real_train_step = rl_module.train_step
         monkeypatch.setattr(rl_module, "train_step",  # ddqn_target with no memo
-                            lambda buffer, env, target, config, target_q=None:
-                            real_train_step(buffer, env, target, config))
-        ref_params, ref_losses, ref_steps, ref_calls = run()
+                            lambda buffer, env, target, config, target_q, workspace:
+                            real_train_step(buffer, env, target, config, None, workspace))
+        ref_params, ref_losses, ref_steps, ref_rows = run()
 
         assert steps == ref_steps >= 3 * self.CONFIG.target_sync
-        assert memo_calls < ref_calls
+        assert 0 < memo_rows < ref_rows
         assert losses and np.array(losses).tobytes() == np.array(ref_losses).tobytes()
         for name, arr in params.as_dict().items():
             assert arr.tobytes() == ref_params.as_dict()[name].tobytes()
+
+    def test_memo_vectors_own_their_data(self):
+        """The workspace is overwritten every step, so a memo vector that
+        viewed it would change under later steps of its window."""
+        cfg = self.CONFIG
+        params = init_params(2, 2, seed=0)
+        learner = fresh_learner(params, cfg)
+        observe, seen = learner.observe, {}
+        window, rechecked = None, 0
+
+        def checked_observe(params, transition):
+            nonlocal window, rechecked
+            loss = observe(params, transition)
+            if learner.target_q is not window:  # a re-sync starts a new memo
+                window = learner.target_q
+                seen.clear()
+            for tr, vec in learner.target_q.items():
+                assert not any(np.shares_memory(vec, buf)
+                               for buf in learner.workspace.values())
+                rechecked += tr in seen
+                assert seen.setdefault(tr, vec.tobytes()) == vec.tobytes()
+            return loss
+
+        learner.observe = checked_observe
+        self.learn(learner, params)
+        assert learner.steps >= 3 * cfg.target_sync and rechecked > 0
 
     def test_memo_holds_the_successors_drawn_since_the_last_sync(self):
         cfg = self.CONFIG
@@ -553,6 +583,90 @@ class TestTargetMemo:
         self.learn(learner, params)
         assert learner.steps >= 3 * cfg.target_sync
         assert any(t.done for batch in drawn for t in batch)
+
+
+class TestLearnerWorkspace:
+    """What the stacked replay step's speed rests on: one set of buffers,
+    reused from step to step and no larger than the largest stack."""
+
+    def test_steps_after_the_first_reuse_the_workspace(self):
+        cfg = DdqnConfig(p_dim=8, k=2, batch=4, warmup_batches=2, target_sync=5)
+        params = init_params(8, 2, seed=0)
+        learner = fresh_learner(params, cfg)
+        observe, layouts = learner.observe, []
+
+        def recorded_observe(params, transition):
+            loss = observe(params, transition)
+            if loss is not None:
+                layouts.append({name: (buf.ctypes.data, buf.shape)
+                                for name, buf in learner.workspace.items()})
+            return loss
+
+        learner.observe = recorded_observe
+        rng = np.random.default_rng(4)
+        for seed in range(8):  # one vertex count, so every stack fits the first
+            play_episode(small_instance(seed, n=12), params, 0.5, rng, learner=learner)
+        assert len(layouts) > 2 * cfg.target_sync
+        assert all(layout == layouts[0] for layout in layouts)
+
+    def test_buffers_never_outgrow_the_largest_stack(self, monkeypatch):
+        stacks = []
+        for name in ("stacked_q_values", "stacked_grad"):
+            real = getattr(rl_module, name)
+
+            def recorded(params, inputs, *args, real=real):
+                stacks.append(sum(len(inp.s_bits) for inp in inputs))
+                return real(params, inputs, *args)
+
+            monkeypatch.setattr(rl_module, name, recorded)
+        cfg = DdqnConfig(p_dim=4, k=2, batch=4, warmup_batches=1, target_sync=3)
+        params = init_params(4, 2, seed=1)
+        learner = fresh_learner(params, cfg)
+        observe = learner.observe
+
+        def checked_observe(params, transition):
+            loss = observe(params, transition)
+            for buf in learner.workspace.values():
+                assert len(buf) <= max(stacks)
+            return loss
+
+        learner.observe = checked_observe
+        rng = np.random.default_rng(5)
+        for seed in range(12):  # 4 to 11 vertices
+            inst = REWARD_INSTANCE if seed % 3 == 0 else small_instance(seed, n=6 + seed // 2)
+            play_episode(inst, params, 0.5, rng, learner=learner)
+        assert learner.steps > 10 and len(set(stacks)) > 2
+
+
+class TestStackedReplay:
+    """The stacked replay step learns the bytes of ``oracles.per_sample_train_step``."""
+
+    def test_steps_match_the_per_sample_reference(self):
+        cfg = DdqnConfig(p_dim=64, k=2, batch=8, lr=1e-3, gamma=0.5)
+        rng = np.random.default_rng(9)
+        params = init_params(64, 2, seed=3)
+        played = ReplayBuffer(1000, np.random.default_rng(0))
+        recorder = record_only_learner(played, params)
+        for inst in [REWARD_INSTANCE, small_instance(1), small_instance(2, n=20),
+                     generate(GeneratorConfig(model="rr", n=30, seed=4))]:
+            for _ in range(3):
+                play_episode(inst, params, 0.5, rng, learner=recorder)
+        transitions = played.sample(len(played))
+        assert any(tr.done for tr in transitions) and not all(tr.done for tr in transitions)
+
+        runs = []
+        for step_fn in (functools.partial(train_step, workspace={}), per_sample_train_step):
+            buf = ReplayBuffer(len(transitions), np.random.default_rng(11))
+            for tr in transitions:
+                buf.push(tr)
+            live, target, memo, losses = params.copy(), params.copy(), {}, []
+            for i in range(12):
+                if i % 5 == 4:  # re-sync as the learner does
+                    target, memo = live.copy(), {}
+                losses.append(step_fn(buf, live, target, cfg, memo))
+            runs.append((np.array(losses).tobytes(),
+                         {name: arr.tobytes() for name, arr in live.as_dict().items()}))
+        assert runs[0] == runs[1]
 
 
 class TestPlayEpisode:
